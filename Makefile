@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test shuffle race bench bench-smoke bench-batch chaos chaos-soak noisy-soak sim sim-soak recovery-soak fuzz-smoke tcp-smoke wal-smoke check
+.PHONY: all vet build test shuffle race bench bench-smoke bench-batch doctbench chaos chaos-soak noisy-soak sim sim-soak recovery-soak fuzz-smoke tcp-smoke wal-smoke check
 
 all: check
 
@@ -47,6 +47,13 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 	$(GO) run ./cmd/benchtab -e e11,e12,e13,e14,e15,e16,e17 -json -gate BENCH_e11.json,BENCH_e12.json,BENCH_e13.json,BENCH_e14.json,BENCH_e15.json,BENCH_e16.json,BENCH_e17.json > /dev/null
 
+# doctbench builds and runs the end-to-end benchmark BENCHMARK.json declares
+# (bench/doctbench: simulated fabric plus real sockets between OS processes,
+# with the per-layer budget) at its defaults; for one workload or a traced
+# pass call the script directly: bash bench/run.sh -workload sim_closed -trace 1
+doctbench:
+	bash bench/run.sh
+
 # bench-batch reruns just the E13 batching sweep and prints the table —
 # the quick loop for tuning the coalescing knobs.
 bench-batch:
@@ -55,8 +62,8 @@ bench-batch:
 # The chaos target drives the crash-fault-tolerance machinery (DESIGN.md
 # §7) under the race detector: the core chaos suite (exactly-once delivery
 # under message loss, partition-and-heal, crash recovery, bounded
-# synchronous raises), the failure-detector and reliable-transport unit
-# tests, the doct fault-injection facade, and the doctsim chaos scenario.
+# synchronous raises), the gossip failure-detector and reliable-transport
+# unit tests, the doct fault-injection facade, and the doctsim chaos scenario.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestRaiseAndWaitTimeout' ./internal/core/
 	$(GO) test -race ./internal/failure/ ./internal/reliable/
@@ -133,5 +140,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzGossipRoundTrip -fuzztime 10s ./internal/failure/
 	$(GO) test -fuzz FuzzWALRoundTrip -fuzztime 10s ./internal/wal/
 	$(GO) test -fuzz FuzzWALTornTail -fuzztime 10s ./internal/wal/
+	$(GO) test -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/transport/wire/
 
 check: vet build test shuffle race chaos sim

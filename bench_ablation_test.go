@@ -91,15 +91,14 @@ func BenchmarkLocateKernel(b *testing.B) {
 	cases := []struct {
 		name string
 		s    locate.Strategy
-		mc   bool
 	}{
-		{"broadcast", locate.Broadcast{}, false},
-		{"path-follow", locate.PathFollow{}, false},
-		{"multicast", locate.Multicast{}, true},
+		{"broadcast", locate.Broadcast{}},
+		{"path-follow", locate.PathFollow{}},
+		{"multicast", locate.Multicast{}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			sys := benchSystem(b, core.Config{Nodes: 8, Locator: tc.s, TrackMulticast: tc.mc})
+			sys := benchSystem(b, core.Config{Nodes: 8, Locator: tc.s})
 			started := make(chan ids.ThreadID, 1)
 			var prev ids.ObjectID
 			for i := 4; i >= 1; i-- {

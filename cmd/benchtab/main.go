@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	benchtab            # run every experiment (E1..E12)
+//	benchtab            # run every experiment (E1..E17)
 //	benchtab -e e2,e5   # run a subset
 //	benchtab -seed 7    # rerun the sweep under a different fabric seed
 //	benchtab -json      # emit tables as a JSON array instead of text
@@ -53,7 +53,6 @@ var runners = []struct {
 	{"e9", "monitoring overhead (§6.2)", func() experiments.Table { return experiments.RunE9(nil) }},
 	{"e10", "crash-fault tolerance (§7.2 generalized)", func() experiments.Table { return experiments.RunE10(nil) }},
 	{"e11", "delta attribute propagation (DESIGN.md §8)", func() experiments.Table { return experiments.RunE11(nil) }},
-	{"e11b", "FT control traffic, legacy vs optimized wire (DESIGN.md §8)", experiments.RunE11FT},
 	{"e12", "sustained-throughput event pipeline (DESIGN.md §10)", func() experiments.Table { return experiments.RunE12(0) }},
 	{"e13", "per-link batch coalescing sweep (DESIGN.md §11)", func() experiments.Table { return experiments.RunE13(0) }},
 	{"e14", "real TCP wire bytes vs simulated estimate (DESIGN.md §12)", func() experiments.Table { return experiments.RunE14(0) }},

@@ -40,7 +40,7 @@ func TestRunnersCoverAllExperiments(t *testing.T) {
 	want := map[string]bool{
 		"e1": true, "e2": true, "e3": true, "e4": true, "e4b": true,
 		"e5": true, "e6": true, "e7": true, "e8": true, "e9": true,
-		"e10": true, "e11": true, "e11b": true, "e12": true, "e13": true,
+		"e10": true, "e11": true, "e12": true, "e13": true,
 		"e14": true, "e15": true, "e16": true, "e17": true,
 	}
 	for _, r := range runners {

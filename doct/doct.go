@@ -248,19 +248,15 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		strat = s
 	}
-	// Multicast only works when the kernel maintains the tracking groups —
-	// including when it arrives wrapped ("cached+multicast").
-	trackMC := locate.UsesMulticast(strat)
 	cs, err := core.NewSystem(core.Config{
-		Nodes:          cfg.Nodes,
-		Latency:        cfg.Latency,
-		Jitter:         cfg.Jitter,
-		PageSize:       cfg.PageSize,
-		Mode:           cfg.Mode,
-		Locator:        strat,
-		TrackMulticast: trackMC,
-		CallTimeout:    cfg.CallTimeout,
-		RaiseTimeout:   cfg.RaiseTimeout,
+		Nodes:        cfg.Nodes,
+		Latency:      cfg.Latency,
+		Jitter:       cfg.Jitter,
+		PageSize:     cfg.PageSize,
+		Mode:         cfg.Mode,
+		Locator:      strat,
+		CallTimeout:  cfg.CallTimeout,
+		RaiseTimeout: cfg.RaiseTimeout,
 		FT: core.FTConfig{
 			Enabled:         cfg.FaultTolerance,
 			HeartbeatPeriod: cfg.HeartbeatPeriod,

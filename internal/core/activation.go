@@ -542,9 +542,10 @@ func (c *Ctx) Set(key string, val any) {
 		obj.Set(key, val)
 		return
 	}
-	// Best effort mirrors local Set's lack of an error path; a lost write
-	// here means the system is shutting down.
-	_, _ = k.call(obj.ID().Home(), kindKVSet, kvReq{Object: obj.ID(), Key: key, Val: val})
+	// object.Ctx.Set has no error path (a local Set cannot fail); a write
+	// the home node never took is counted instead.
+	_, err = k.call(obj.ID().Home(), kindKVSet, kvReq{Object: obj.ID(), Key: key, Val: val})
+	k.sys.dropErr("kvset", err)
 }
 
 // CompareAndSwap implements object.Ctx. Like Get/Set, remote-homed objects

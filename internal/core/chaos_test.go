@@ -162,7 +162,6 @@ func TestChaosParallelDispatchExactlyOnce(t *testing.T) {
 func TestChaosPartitionHeal(t *testing.T) {
 	cfg := ftConfig(4)
 	cfg.Locator = locate.Multicast{}
-	cfg.TrackMulticast = true
 	cfg.RaiseTimeout = 300 * time.Millisecond
 	sys := newSystem(t, cfg)
 
@@ -473,7 +472,6 @@ func TestRaiseAndWaitTimeoutSeveredLink(t *testing.T) {
 // carrying genuinely undelivered payloads.
 func TestChaosAckDirectionLossy(t *testing.T) {
 	cfg := ftConfig(2)
-	cfg.Wire.StandaloneAcks = true
 	sys := newSystem(t, cfg)
 	var handled atomic.Int64
 	sink, err := sys.CreateObject(1, object.Spec{

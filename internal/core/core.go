@@ -127,10 +127,6 @@ type Config struct {
 	Mode InvokeMode
 	// Locator selects the thread-location strategy (nil = PathFollow).
 	Locator locate.Strategy
-	// TrackMulticast maintains a per-thread fabric multicast group as
-	// threads move, enabling the Multicast location strategy. It costs
-	// group maintenance on every hop.
-	TrackMulticast bool
 	// FanoutK is the arity of the spanning-tree fan-out used for group
 	// raises whose members span many nodes (deliver.go/fanout.go): the
 	// raiser ships one relay message per child instead of one event post
@@ -167,10 +163,9 @@ type Config struct {
 	// QoS.AllowVirtual is set, so simulation digests are unaffected.
 	QoS QoSConfig
 	// Wire configures the wire-efficiency fast path (delta attribute
-	// propagation, cumulative/piggybacked acks, heartbeat suppression).
-	// The zero value enables every optimization; the negative flags exist
-	// to reproduce the legacy 1993-style full-shipping protocol for
-	// measurement (E11).
+	// propagation, per-link send coalescing). The zero value enables every
+	// optimization; the negative flags select the paper's literal
+	// full-shipping protocol as the measured reference (E11, E13).
 	Wire WireConfig
 	// TraceCapacity retains the last N kernel trace records (raises,
 	// deliveries, handler runs, hops); zero disables tracing.
@@ -208,6 +203,12 @@ type Config struct {
 	// errors, and cross-node protocol traffic flows through the transport
 	// as always.
 	LocalNodes []ids.NodeID
+
+	// trackMulticast maintains a per-thread fabric multicast group as
+	// threads move — group maintenance on every hop, paid only when the
+	// Locator is (or wraps) the Multicast strategy, which probes those
+	// groups. Derived in fillDefaults.
+	trackMulticast bool
 }
 
 func (c *Config) fillDefaults() error {
@@ -220,6 +221,7 @@ func (c *Config) fillDefaults() error {
 	if c.Locator == nil {
 		c.Locator = locate.PathFollow{}
 	}
+	c.trackMulticast = locate.UsesMulticast(c.Locator)
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 30 * time.Second
 	}
@@ -362,7 +364,6 @@ func NewSystem(cfg Config) (*System, error) {
 			Batch: netsim.BatchConfig{
 				Enabled:       !cfg.Wire.NoBatching,
 				MaxMsgs:       cfg.Wire.BatchMaxMsgs,
-				MaxBytes:      cfg.Wire.BatchMaxBytes,
 				FlushInterval: cfg.Wire.FlushInterval,
 			},
 		})
@@ -405,7 +406,7 @@ func NewSystem(cfg Config) (*System, error) {
 func (s *System) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closed)
-		// Detectors first: their heartbeats and sweeps must stop raising
+		// Detectors first: their probe rounds must stop raising
 		// membership events into a cluster that is going away.
 		for _, k := range s.kernels {
 			if k.det != nil {
@@ -447,6 +448,17 @@ func (s *System) Nodes() []ids.NodeID {
 
 // Metrics returns the system-wide counter registry.
 func (s *System) Metrics() *metrics.Registry { return s.reg }
+
+// dropErr counts an error the kernel has no caller to return to — a
+// best-effort send, background log maintenance — under core.err.dropped
+// and the site's own counter, so a path that fails silently still shows
+// in the metrics.
+func (s *System) dropErr(site string, err error) {
+	if err != nil {
+		s.reg.Inc(metrics.CtrErrDropped)
+		s.reg.Inc(metrics.ErrDropped(site))
+	}
+}
 
 // Mode returns the configured invocation mode.
 func (s *System) Mode() InvokeMode { return s.cfg.Mode }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/object"
 )
 
@@ -829,5 +830,44 @@ func TestHandleWaitBlocking(t *testing.T) {
 	res, err := h.Wait()
 	if err != nil || res[0] != "done" {
 		t.Fatalf("Wait = %v, %v", res, err)
+	}
+}
+
+// TestDroppedErrorsAreCounted: object.Ctx.Set has no error path, so a
+// remote-homed write the home node never took must at least show in the
+// metrics instead of vanishing.
+func TestDroppedErrorsAreCounted(t *testing.T) {
+	sys := newSystem(t, Config{Nodes: 2, Mode: ModeDSM, CallTimeout: 100 * time.Millisecond})
+	running, crashed := make(chan struct{}), make(chan struct{})
+	far, err := sys.CreateObject(2, object.Spec{
+		Name: "far",
+		Entries: map[string]object.Entry{
+			"set": func(ctx object.Ctx, _ []any) ([]any, error) {
+				close(running)
+				<-crashed
+				ctx.Set("k", 1) // DSM mode: runs on node 1, the KV lives on node 2
+				return nil, nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sys.Spawn(1, far, "set")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	if err := sys.CrashNode(2); err != nil {
+		t.Fatal(err)
+	}
+	close(crashed)
+	if _, err := h.WaitTimeout(waitShort); err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.Metrics().Snapshot()
+	if total, site := snap.Get(metrics.CtrErrDropped), snap.Get(metrics.ErrDropped("kvset")); site != 1 || total < site {
+		t.Fatalf("%s = %d, %s = %d; want the lost write counted once under both",
+			metrics.CtrErrDropped, total, metrics.ErrDropped("kvset"), site)
 	}
 }

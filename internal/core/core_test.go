@@ -976,17 +976,16 @@ func TestLocateStrategiesEndToEnd(t *testing.T) {
 	strategies := []struct {
 		name string
 		s    locate.Strategy
-		mc   bool
 	}{
-		{"broadcast", locate.Broadcast{}, false},
-		{"path-follow", locate.PathFollow{}, false},
-		{"multicast", locate.Multicast{}, true},
-		{"hash", locate.NewHashed(), false},
-		{"cached+hash", locate.NewCache(locate.NewHashed(), 0), false},
+		{"broadcast", locate.Broadcast{}},
+		{"path-follow", locate.PathFollow{}},
+		{"multicast", locate.Multicast{}},
+		{"hash", locate.NewHashed()},
+		{"cached+hash", locate.NewCache(locate.NewHashed(), 0)},
 	}
 	for _, tc := range strategies {
 		t.Run(tc.name, func(t *testing.T) {
-			sys := newSystem(t, Config{Nodes: 4, Locator: tc.s, TrackMulticast: tc.mc})
+			sys := newSystem(t, Config{Nodes: 4, Locator: tc.s})
 			started := make(chan ids.ThreadID, 1)
 			deep, err := sys.CreateObject(4, object.Spec{
 				Name: "deep",

@@ -454,7 +454,7 @@ func (k *Kernel) notifyThreadDeath(dead ids.ThreadID, eb *event.Block) {
 	k.wg.Add(1)
 	go func() {
 		defer k.wg.Done()
-		_ = k.raiseToThread(notice, eb.Raiser)
+		k.sys.dropErr("deathnotice", k.raiseToThread(notice, eb.Raiser))
 	}()
 }
 

@@ -145,5 +145,7 @@ func (k *Kernel) dirPublish(tid ids.ThreadID, remove bool) {
 		// next publication, and locates fall back meanwhile.
 		return
 	}
-	_ = k.netSend(dir, kindDirUpdate, u)
+	// Directory entries are hints: a lost publication costs a fallback
+	// locate, not correctness.
+	k.sys.dropErr("dirupdate", k.netSend(dir, kindDirUpdate, u))
 }

@@ -17,7 +17,8 @@ package core
 // is what's gated: piggybacked cumulative acks are clamped to the
 // durable frontier (reliable.Config.AckFrontier, non-blocking — it runs
 // on the fabric's batch flush path), and standalone/delayed acks block
-// on one shared group-commit fsync (reliable.Config.AckGate). Object
+// on one shared group-commit fsync (reliable.Config.AckGate) and are
+// withheld when that commit fails. Object
 // mutations and attribute-version leases ride the same group-commit
 // queue asynchronously; the sim's crash-restart-replay checker
 // (internal/sim) diffs recovered state against the durable-visible
@@ -48,9 +49,6 @@ type DurabilityConfig struct {
 	// single-process cluster (and a shared -datadir across doctnode
 	// processes) needs only one root.
 	Dir string
-	// SegmentBytes is the WAL segment rotation threshold
-	// (0 = wal default, 1 MiB).
-	SegmentBytes int64
 	// SnapshotEvery triggers a snapshot after this many appended records
 	// (0 = 4096). Snapshots bound replay and let old segments be pruned.
 	SnapshotEvery int
@@ -58,15 +56,6 @@ type DurabilityConfig struct {
 	// sets it: an in-process "crash" cannot lose page cache, and real
 	// fsyncs would drag wall-clock time into the virtual-clock schedule.
 	NoFsync bool
-
-	// Injected-fault replay knobs, used only by the simulation's
-	// bug-injection tests to prove the crash-restart-replay checker
-	// catches real durability regressions. DropTailOnReplay discards the
-	// last N tail records during recovery (a lost-fsync window);
-	// IgnoreTailOnReplay recovers from the snapshot alone (a stale-
-	// snapshot regression).
-	DropTailOnReplay   int
-	IgnoreTailOnReplay bool
 }
 
 func (c *DurabilityConfig) fillDefaults() {
@@ -245,12 +234,12 @@ func (k *Kernel) openDurable(cfg DurabilityConfig) error {
 		snapCh: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
-	log, err := wal.Open(d.dir, wal.Options{SegmentBytes: cfg.SegmentBytes, NoFsync: cfg.NoFsync})
+	log, err := wal.Open(d.dir, wal.Options{NoFsync: cfg.NoFsync})
 	if err != nil {
 		return fmt.Errorf("durability %v: %w", k.node, err)
 	}
 	d.log = log
-	rs, _, err := replayState(d.dir, d.replayOpts(), k.node)
+	rs, _, err := replayState(d.dir, k.node)
 	if err != nil {
 		log.Close()
 		return fmt.Errorf("durability %v: replay: %w", k.node, err)
@@ -265,14 +254,6 @@ func (k *Kernel) openDurable(cfg DurabilityConfig) error {
 	return nil
 }
 
-// replayOpts maps the injected-fault knobs onto wal replay options.
-func (d *durable) replayOpts() wal.ReplayOptions {
-	return wal.ReplayOptions{
-		DropTail:   d.cfg.DropTailOnReplay,
-		IgnoreTail: d.cfg.IgnoreTailOnReplay,
-	}
-}
-
 // close flushes and closes the log (crash or shutdown). Appends racing the
 // close see wal.ErrClosed and are dropped — they are the mutations that
 // happened "after the crash instant".
@@ -282,7 +263,7 @@ func (d *durable) close() {
 	}
 	d.mu.Lock()
 	if d.log != nil {
-		_ = d.log.Close()
+		d.k.sys.dropErr("wal.close", d.log.Close())
 		d.log = nil
 	}
 	d.mu.Unlock()
@@ -425,14 +406,18 @@ func (d *durable) ackFrontier(peer ids.NodeID, cum uint64) uint64 {
 
 // ackGate is the reliable AckGate hook: block until everything appended
 // so far — in particular every window advance onAccept logged — is on
-// disk. One group commit covers all pending accepts at once.
-func (d *durable) ackGate() {
+// disk. One group commit covers all pending accepts at once. A closed log
+// (this node crashed) or a failed commit (the WAL's error is sticky)
+// returns the error: the acceptances are not durable, so their ack must
+// not leave.
+func (d *durable) ackGate() error {
 	d.mu.RLock()
 	log := d.log
 	d.mu.RUnlock()
-	if log != nil {
-		_ = log.Sync()
+	if log == nil {
+		return wal.ErrClosed
 	}
+	return log.Sync()
 }
 
 // applyStagedObject installs recovered KV state into a freshly created
@@ -504,7 +489,10 @@ func (d *durable) takeSnapshot() {
 	}
 	d.mu.RLock()
 	if d.log == log {
-		_ = log.Snapshot(payload, covered)
+		// A failed snapshot loses nothing — the record tail it would have
+		// covered still replays — but a log that cannot snapshot cannot
+		// prune either, so the failure is counted.
+		d.k.sys.dropErr("wal.snapshot", log.Snapshot(payload, covered))
 	}
 	d.mu.RUnlock()
 }
@@ -517,16 +505,16 @@ func (d *durable) takeSnapshot() {
 func (d *durable) reopen() (*DurableState, error) {
 	d.mu.Lock()
 	if d.log != nil {
-		_ = d.log.Close()
+		d.k.sys.dropErr("wal.close", d.log.Close())
 	}
-	log, err := wal.Open(d.dir, wal.Options{SegmentBytes: d.cfg.SegmentBytes, NoFsync: d.cfg.NoFsync})
+	log, err := wal.Open(d.dir, wal.Options{NoFsync: d.cfg.NoFsync})
 	if err != nil {
 		d.mu.Unlock()
 		return nil, err
 	}
 	d.log = log
 	d.mu.Unlock()
-	rs, _, err := replayState(d.dir, d.replayOpts(), d.k.node)
+	rs, _, err := replayState(d.dir, d.k.node)
 	if err != nil {
 		return nil, err
 	}
@@ -562,7 +550,7 @@ func (d *durable) reopen() (*DurableState, error) {
 // one recoveredState. Window merging reuses the reliable package's replay
 // logic through a detached endpoint so recovery and live acceptance can
 // never drift apart.
-func replayState(dir string, o wal.ReplayOptions, self ids.NodeID) (*recoveredState, wal.Stats, error) {
+func replayState(dir string, self ids.NodeID) (*recoveredState, wal.Stats, error) {
 	rs := &recoveredState{
 		objects: make(map[string]map[string]any),
 		deleted: make(map[string]bool),
@@ -580,7 +568,7 @@ func replayState(dir string, o wal.ReplayOptions, self ids.NodeID) (*recoveredSt
 		payload []byte
 	}
 	var tail []tailRec
-	snapRaw, st, err := wal.Scan(dir, o, func(kind uint16, payload []byte) error {
+	snapRaw, st, err := wal.Scan(dir, func(kind uint16, payload []byte) error {
 		tail = append(tail, tailRec{kind, append([]byte(nil), payload...)})
 		return nil
 	})
@@ -701,11 +689,10 @@ func renderWindows(ws []reliable.PeerWindow) []string {
 	return lines
 }
 
-// DurableSnapshot scans node's on-disk log — with no fault injection,
-// whatever the config's replay knobs say — and renders the durable-visible
-// state a correct recovery would produce. The simulation captures it at
-// the crash instant (after the log closed) as the baseline the restarted
-// node must reproduce.
+// DurableSnapshot scans node's on-disk log and renders the durable-visible
+// state recovery would produce from it. The simulation captures it at the
+// crash instant (after the log closed) as the baseline the restarted node
+// must reproduce.
 func (s *System) DurableSnapshot(node ids.NodeID) (*DurableState, error) {
 	k, err := s.Kernel(node)
 	if err != nil {
@@ -714,7 +701,7 @@ func (s *System) DurableSnapshot(node ids.NodeID) (*DurableState, error) {
 	if k.dur == nil {
 		return nil, fmt.Errorf("core: durability not enabled on %v", node)
 	}
-	rs, _, err := replayState(k.dur.dir, wal.ReplayOptions{}, node)
+	rs, _, err := replayState(k.dur.dir, node)
 	if err != nil {
 		return nil, err
 	}

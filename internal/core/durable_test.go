@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -151,21 +153,59 @@ func TestDurableColdBootStagesState(t *testing.T) {
 	}
 }
 
+// newestSegment returns the path of the youngest non-empty WAL segment in
+// a node's log directory (segment names sort by first LSN, and Glob returns
+// them sorted).
+func newestSegment(t *testing.T, nodeDir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(nodeDir, "seg-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(segs) - 1; i >= 0; i-- {
+		if fi, err := os.Stat(segs[i]); err == nil && fi.Size() > 0 {
+			return segs[i]
+		}
+	}
+	t.Fatalf("no non-empty WAL segment under %s", nodeDir)
+	return ""
+}
+
 // TestDurableInjectedReplayBugsAreVisible proves the recovery checker has
-// teeth: with a replay fault injected (the knobs the simulation's
-// bug-injection suite uses), the recovered state must differ from what a
-// correct replay of the same disk yields.
+// teeth: when the disk loses part of the log between a crash and the
+// restart (the two faults the simulation's bug-injection suite injects),
+// the recovered state must differ from what the crash-time disk promised.
 func TestDurableInjectedReplayBugsAreVisible(t *testing.T) {
+	// crashDamageRestart crashes node 1, captures what its log promises,
+	// lets damage loose on the log directory, restarts, and returns the
+	// promise-vs-recovered diff.
+	crashDamageRestart := func(t *testing.T, sys *System, nodeDir string, damage func()) []string {
+		t.Helper()
+		if err := sys.CrashNode(1); err != nil {
+			t.Fatal(err)
+		}
+		want, err := sys.DurableSnapshot(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damage()
+		if err := sys.RestartNode(1); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.LastRecovered(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want.Diff(got)
+	}
+
 	t.Run("droptail", func(t *testing.T) {
-		cfg := Config{
+		root := t.TempDir()
+		sys := newSystem(t, Config{
 			Nodes:       1,
 			CallTimeout: 3 * time.Second,
-			Durability: DurabilityConfig{
-				Enabled: true, Dir: t.TempDir(),
-				DropTailOnReplay: 4,
-			},
-		}
-		sys := newSystem(t, cfg)
+			Durability:  DurabilityConfig{Enabled: true, Dir: root},
+		})
 		oid, err := sys.CreateObject(1, kvSpec("victim"))
 		if err != nil {
 			t.Fatal(err)
@@ -174,37 +214,31 @@ func TestDurableInjectedReplayBugsAreVisible(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			obj.Set(fmt.Sprintf("k%d", i), i)
 		}
-		if err := sys.CrashNode(1); err != nil {
-			t.Fatal(err)
-		}
-		want, err := sys.DurableSnapshot(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.RestartNode(1); err != nil {
-			t.Fatal(err)
-		}
-		got, err := sys.LastRecovered(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := want.Diff(got); len(diff) == 0 {
+		nodeDir := filepath.Join(root, "node-1")
+		diff := crashDamageRestart(t, sys, nodeDir, func() {
+			// The last group commits never reached the platter: the newest
+			// segment ends half way through.
+			seg := newestSegment(t, nodeDir)
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(seg, fi.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(diff) == 0 {
 			t.Fatal("dropped-tail replay recovered identical state — the checker would miss a lost fsync window")
 		}
 	})
 
 	t.Run("ignoretail", func(t *testing.T) {
 		root := t.TempDir()
-		cfg := Config{
+		sys := newSystem(t, Config{
 			Nodes:       1,
 			CallTimeout: 3 * time.Second,
-			Durability: DurabilityConfig{
-				Enabled: true, Dir: root,
-				SnapshotEvery:      4,
-				IgnoreTailOnReplay: true,
-			},
-		}
-		sys := newSystem(t, cfg)
+			Durability:  DurabilityConfig{Enabled: true, Dir: root, SnapshotEvery: 4},
+		})
 		oid, err := sys.CreateObject(1, kvSpec("victim"))
 		if err != nil {
 			t.Fatal(err)
@@ -217,27 +251,18 @@ func TestDurableInjectedReplayBugsAreVisible(t *testing.T) {
 		// the post-snapshot writes below are genuinely tail-only.
 		nodeDir := filepath.Join(root, "node-1")
 		testutil.WaitFor(t, "snapshot to land on disk", func() bool {
-			snap, _, err := wal.Scan(nodeDir, wal.ReplayOptions{}, func(uint16, []byte) error { return nil })
+			snap, _, err := wal.Scan(nodeDir, func(uint16, []byte) error { return nil })
 			return err == nil && len(snap) > 0
 		})
 		for i := 0; i < 4; i++ {
 			obj.Set(fmt.Sprintf("post%d", i), i)
 		}
-		if err := sys.CrashNode(1); err != nil {
-			t.Fatal(err)
-		}
-		want, err := sys.DurableSnapshot(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.RestartNode(1); err != nil {
-			t.Fatal(err)
-		}
-		got, err := sys.LastRecovered(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diff := want.Diff(got)
+		diff := crashDamageRestart(t, sys, nodeDir, func() {
+			// The snapshot survived, the segment behind it did not.
+			if err := os.Remove(newestSegment(t, nodeDir)); err != nil {
+				t.Fatal(err)
+			}
+		})
 		if len(diff) == 0 {
 			t.Fatal("stale-snapshot replay recovered identical state — the checker would miss it")
 		}
@@ -249,4 +274,23 @@ func TestDurableInjectedReplayBugsAreVisible(t *testing.T) {
 		}
 		t.Fatalf("diff does not show the lost tail:\n%s", strings.Join(diff, "\n"))
 	})
+}
+
+// TestDurableAckGateReportsUnwritableLog: once the log cannot commit — it
+// is closed here, as after a crash — the reliable layer's ack gate must
+// say so instead of releasing the ack: an envelope whose acceptance is not
+// on disk may not be acknowledged.
+func TestDurableAckGateReportsUnwritableLog(t *testing.T) {
+	sys := newSystem(t, durConfig(t, 2))
+	k, err := sys.Kernel(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.dur.ackGate(); err != nil {
+		t.Fatalf("ackGate on a healthy log: %v", err)
+	}
+	k.dur.close()
+	if err := k.dur.ackGate(); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("ackGate on a closed log = %v, want wal.ErrClosed", err)
+	}
 }

@@ -14,22 +14,11 @@ import (
 	"repro/internal/transport"
 )
 
-// kindHeartbeat is the failure detector's heartbeat message kind. It
-// bypasses the reliable envelope: heartbeats are periodic and
-// self-correcting, so retransmitting a lost one is pointless.
-const kindHeartbeat = "k.fd.hb"
-
-// heartbeat is the (empty) heartbeat payload.
-type heartbeat struct{}
-
-// WireSize charges a minimal frame.
-func (heartbeat) WireSize() int { return 8 }
-
-// kindGossip carries one encoded gossip protocol message (failure
-// detector gossip mode, DESIGN.md §13). Like heartbeats it bypasses the
-// reliable envelope: the protocol has its own redundancy — probes repeat
-// every period and rumors are retransmitted λ·log n times — so reliable
-// retransmission of an individual message would only add load.
+// kindGossip carries one encoded gossip protocol message of the failure
+// detector (DESIGN.md §7). It bypasses the reliable envelope: the protocol
+// has its own redundancy — probes repeat every period and rumors are
+// retransmitted λ·log n times — so reliable retransmission of an
+// individual message would only add load.
 const kindGossip = "k.fd.gossip"
 
 // gossipFrame wraps the canonical gossip encoding for the fabric.
@@ -38,23 +27,7 @@ type gossipFrame struct{ Data []byte }
 // WireSize charges the encoded bytes plus a small header.
 func (g gossipFrame) WireSize() int { return 8 + len(g.Data) }
 
-// kindFDNotice disseminates a locally observed membership transition in
-// ring monitoring mode: only the crashed node's ring watcher sees it fall
-// silent, so the watcher tells everyone else (reliably — a lost notice
-// would leave a peer routing calls at a dead node until its call timeout).
-// Gossip mode does not use it: dissemination rides the piggyback blocks.
-const kindFDNotice = "k.fd.notice"
-
-// fdNotice is one membership transition, relayed by its first observer.
-type fdNotice struct {
-	Node ids.NodeID
-	Up   bool
-}
-
-// WireSize charges node id + flag.
-func (fdNotice) WireSize() int { return 10 }
-
-// FTConfig parameterizes the crash-fault-tolerance subsystem: a heartbeat
+// FTConfig parameterizes the crash-fault-tolerance subsystem: a gossip
 // failure detector per node (internal/failure), an ack/retry envelope
 // around all kernel RPC traffic (internal/reliable), and the kernel
 // reactions that turn a detected crash into prompt failures and recovery
@@ -64,22 +37,16 @@ type FTConfig struct {
 	// behaves exactly as before: reliable-fabric assumptions, no
 	// detection, no retries.
 	Enabled bool
-	// HeartbeatPeriod is the detector broadcast interval
+	// HeartbeatPeriod is the detector's probe interval
 	// (0 = failure.DefaultPeriod).
 	HeartbeatPeriod time.Duration
 	// SuspectAfter is the detector's suspicion threshold
 	// (0 = failure.DefaultSuspectMultiple × period).
 	SuspectAfter time.Duration
-	// Ring falls back to the ring-successor monitoring topology instead
-	// of the default SWIM-style gossip (the escape hatch for workloads
-	// tuned against ring-mode traffic patterns). Ignored when
-	// Wire.EagerHeartbeats forces legacy all-pairs heartbeating.
-	Ring bool
-	// RetryBase, RetryMax and MaxAttempts parameterize the reliable
-	// envelope's retransmit backoff (0 = reliable defaults).
-	RetryBase   time.Duration
-	RetryMax    time.Duration
-	MaxAttempts int
+	// RetryBase and RetryMax parameterize the reliable envelope's
+	// retransmit backoff (0 = reliable defaults).
+	RetryBase time.Duration
+	RetryMax  time.Duration
 	// Generation is this process's incarnation epoch, stamped into every
 	// reliable envelope (reliable.Config.Generation). A restarted node
 	// server (cmd/doctnode) passes a strictly higher value — time.Now() —
@@ -101,40 +68,19 @@ func (k *Kernel) initFT() {
 		}
 	}
 
-	// Topology precedence: legacy all-pairs when the wire config demands
-	// eager heartbeats, else ring if explicitly requested, else gossip —
-	// the scale default (O(1) probe load per node, piggybacked
-	// dissemination; DESIGN.md §13).
-	ring := !wire.EagerHeartbeats && ft.Ring
-	gossip := !wire.EagerHeartbeats && !ft.Ring
-	k.fdRing = ring
 	k.det = failure.New(failure.Config{
 		Period:       ft.HeartbeatPeriod,
 		SuspectAfter: ft.SuspectAfter,
-		Ring:         ring,
-		Gossip:       gossip,
 		Seed:         k.sys.cfg.Seed,
 		Metrics:      k.sys.reg,
 		Clock:        k.sys.cfg.Clock,
-	}, k.node, peers, func(to ids.NodeID) {
-		_ = k.sys.fabric.Send(netsim.Message{From: k.node, To: to, Kind: kindHeartbeat, Payload: heartbeat{}, Class: transport.ClassSystem})
+	}, k.node, peers)
+	k.det.SetGossipSend(func(to ids.NodeID, payload []byte) {
+		// A lost probe is the protocol's own business: it repeats next period.
+		_ = k.sys.fabric.Send(netsim.Message{From: k.node, To: to, Kind: kindGossip, Payload: gossipFrame{Data: payload}, Class: transport.ClassSystem})
 	})
-	if gossip {
-		k.det.SetGossipSend(func(to ids.NodeID, payload []byte) {
-			_ = k.sys.fabric.Send(netsim.Message{From: k.node, To: to, Kind: kindGossip, Payload: gossipFrame{Data: payload}, Class: transport.ClassSystem})
-		})
-	}
-	k.det.Subscribe(func(ev failure.Event) {
-		if !ev.Remote {
-			k.disseminateFD(ev)
-		}
-		k.sys.onMembershipEvent(k, ev)
-	})
+	k.det.Subscribe(func(ev failure.Event) { k.sys.onMembershipEvent(k, ev) })
 
-	// Every reliable transmission doubles as liveness evidence at its
-	// receiver, so tell the detector about outbound data: the next
-	// explicit heartbeat toward that peer is redundant and gets
-	// suppressed (ring mode only; legacy eager heartbeats ignore it).
 	// With batching on, the ack round trip can absorb up to two flush
 	// windows (envelope out, ack back) on top of the delayed-ack window, so
 	// the default retransmit base must sit above all three or every
@@ -148,14 +94,11 @@ func (k *Kernel) initFT() {
 		retryBase = reliable.DefaultRetryBase + 2*fi
 	}
 	relCfg := reliable.Config{
-		MaxAttempts:    ft.MaxAttempts,
-		RetryBase:      retryBase,
-		RetryMax:       ft.RetryMax,
-		Generation:     ft.Generation,
-		StandaloneAcks: wire.StandaloneAcks,
-		AckDelay:       wire.AckDelay,
-		Metrics:        k.sys.reg,
-		Clock:          k.sys.cfg.Clock,
+		RetryBase:  retryBase,
+		RetryMax:   ft.RetryMax,
+		Generation: ft.Generation,
+		Metrics:    k.sys.reg,
+		Clock:      k.sys.cfg.Clock,
 	}
 	if k.dur != nil {
 		// Log every acceptance and hold acknowledgement until the log
@@ -175,32 +118,12 @@ func (k *Kernel) initFT() {
 			relCfg.RetryBase = retryBase + 10*time.Millisecond
 		}
 	}
-	k.rel = reliable.New(relCfg, k.node, func(m netsim.Message) error {
-		k.det.ObserveSend(m.To)
-		return k.sys.fabric.Send(m)
-	}, k.dispatchNet, k.deadLetter)
+	k.rel = reliable.New(relCfg, k.node, k.sys.fabric.Send, k.dispatchNet, k.deadLetter)
 	if k.dur != nil {
 		// Replayed dedup windows go live before the fabric starts — a
 		// retransmit that crosses the restart must land in a window that
 		// remembers it.
 		k.dur.installWindows(k.rel)
-	}
-}
-
-// disseminateFD relays a locally observed membership transition to the
-// rest of the cluster. Only needed in ring mode, where a crash is seen by
-// exactly one watcher: legacy all-pairs detectors each find out on their
-// own, and gossip mode piggybacks transitions on its own protocol
-// messages. The subject itself and already-suspected peers are skipped.
-func (k *Kernel) disseminateFD(ev failure.Event) {
-	if !k.fdRing || k.rel == nil {
-		return
-	}
-	for _, n := range k.sys.Nodes() {
-		if n == k.node || n == ev.Node || k.det.Suspected(n) {
-			continue
-		}
-		_ = k.rel.SendClass(n, kindFDNotice, fdNotice{Node: ev.Node, Up: ev.Up}, transport.ClassSystem)
 	}
 }
 
@@ -306,7 +229,7 @@ func (s *System) CrashNode(node ids.NodeID) error {
 		k.dur.close()
 	}
 	if k.det != nil {
-		// A fail-stopped node emits no heartbeats and suspects nobody.
+		// A fail-stopped node emits no probes and suspects nobody.
 		k.det.Suspend()
 	}
 
@@ -364,7 +287,7 @@ func (s *System) RestartNode(node ids.NodeID) error {
 	k.dir.clear()
 	if k.det != nil {
 		// The restarted node's own arrival clocks are stale (every peer
-		// heartbeated into the void while it was down); Resume resets them
+		// probed into the void while it was down); Resume resets them
 		// so it does not instantly suspect the whole cluster.
 		k.det.Resume()
 	}

@@ -181,7 +181,7 @@ func (k *Kernel) invokeRemote(a *activation, oid ids.ObjectID, entry string, arg
 	a.stopTimers()
 	if !a.system {
 		k.tcbs.Depart(a.tid, home)
-		if k.sys.cfg.TrackMulticast {
+		if k.sys.cfg.trackMulticast {
 			// The tracking group follows the thread's current node (§7.1's
 			// "sophisticated thread-management system").
 			k.sys.fabric.LeaveGroup(locate.GroupName(a.tid), k.node)
@@ -205,7 +205,7 @@ func (k *Kernel) invokeRemote(a *activation, oid ids.ObjectID, entry string, arg
 
 	if !a.system {
 		k.tcbs.Return(a.tid, a.baseDepth)
-		if k.sys.cfg.TrackMulticast {
+		if k.sys.cfg.trackMulticast {
 			k.sys.fabric.JoinGroup(locate.GroupName(a.tid), k.node)
 		}
 		// The thread's deepest activation is current here again; tell its

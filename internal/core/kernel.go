@@ -110,12 +110,9 @@ type Kernel struct {
 
 	// Crash-fault tolerance (fault.go). rel and det are nil unless
 	// Config.FT.Enabled; the crash channel exists regardless so fault
-	// injection works on a plain system too. fdRing records that the
-	// detector runs the ring topology, whose detections must be
-	// disseminated out-of-band (disseminateFD).
-	rel    *reliable.Endpoint
-	det    *failure.Detector
-	fdRing bool
+	// injection works on a plain system too.
+	rel *reliable.Endpoint
+	det *failure.Detector
 
 	// dur is this node's durability engine (durable.go). Nil unless
 	// Config.Durability.Enabled; every touch is nil-guarded so the
@@ -211,7 +208,7 @@ func newKernel(s *System, node ids.NodeID) *Kernel {
 		masters:  make(map[ids.ObjectID]*master),
 		downCh:   make(chan struct{}),
 	}
-	k.attrCache = attrcache.New(s.cfg.Wire.AttrCacheSize, s.reg)
+	k.attrCache = attrcache.New(s.cfg.Wire.attrCacheSize, s.reg)
 	k.dsm = dsm.NewManager(dsm.Config{
 		Node:      node,
 		PageSize:  s.cfg.PageSize,
@@ -259,7 +256,7 @@ func (k *Kernel) shutdown() {
 
 // onMessage is the fabric handler: it must not block, so request service
 // runs on its own goroutine (kernel requests may issue nested calls).
-// Heartbeats bypass the reliable layer (they are periodic and self-
+// Gossip probes bypass the reliable layer (they are periodic and self-
 // correcting); everything else is unwrapped by it when FT is enabled.
 func (k *Kernel) onMessage(m netsim.Message) {
 	if k.crashedLocal() {
@@ -267,16 +264,9 @@ func (k *Kernel) onMessage(m netsim.Message) {
 		// the node.
 		return
 	}
-	if m.Kind == kindHeartbeat {
-		if k.det != nil {
-			k.det.Heartbeat(m.From)
-		}
-		return
-	}
 	if m.Kind == kindGossip {
-		// Gossip protocol messages also bypass the reliable layer; the
-		// detector applies the piggybacked membership block and answers
-		// pings itself.
+		// The detector applies the piggybacked membership block and
+		// answers pings itself.
 		if k.det != nil {
 			if g, ok := m.Payload.(gossipFrame); ok {
 				k.det.HandleGossip(m.From, g.Data)
@@ -285,8 +275,8 @@ func (k *Kernel) onMessage(m netsim.Message) {
 		return
 	}
 	if k.det != nil {
-		// Any traffic from a peer proves it alive just as well as an
-		// explicit heartbeat — this is what lets busy links go without one.
+		// Any traffic from a peer proves it alive just as well as a probe
+		// ack — this is what lets busy links go without one.
 		k.det.Observe(m.From)
 	}
 	if k.rel != nil && k.rel.Handle(m) {
@@ -327,14 +317,6 @@ func (k *Kernel) dispatchNet(from ids.NodeID, kind string, payload any) {
 		}
 		if w, ok := k.waiters.take(rsp.ID); ok {
 			w.ch <- rsp
-		}
-	case kindFDNotice:
-		n, ok := payload.(fdNotice)
-		if !ok {
-			return
-		}
-		if k.det != nil {
-			k.det.ApplyRemote(n.Node, n.Up)
 		}
 	case kindDirUpdate:
 		u, ok := payload.(dirUpdate)
@@ -729,7 +711,7 @@ func (k *Kernel) pushAct(a *activation) {
 	k.acts[a.tid] = append(k.acts[a.tid], a)
 	k.actMu.Unlock()
 	k.tcbs.Arrive(a.tid, a.baseDepth)
-	if k.sys.cfg.TrackMulticast {
+	if k.sys.cfg.trackMulticast {
 		k.sys.fabric.JoinGroup(locate.GroupName(a.tid), k.node)
 	}
 	k.dirPublish(a.tid, false)
@@ -760,7 +742,7 @@ func (k *Kernel) popAct(a *activation) {
 
 	if prev == nil {
 		k.tcbs.Remove(a.tid)
-		if k.sys.cfg.TrackMulticast {
+		if k.sys.cfg.trackMulticast {
 			k.sys.fabric.LeaveGroup(locate.GroupName(a.tid), k.node)
 		}
 		k.dirPublish(a.tid, true)
@@ -769,7 +751,7 @@ func (k *Kernel) popAct(a *activation) {
 	// The earlier activation is blocked invoking toward prev.childNode:
 	// the thread is no longer current here.
 	k.tcbs.Depart(a.tid, prev.childNodeLocked())
-	if k.sys.cfg.TrackMulticast {
+	if k.sys.cfg.trackMulticast {
 		k.sys.fabric.LeaveGroup(locate.GroupName(a.tid), k.node)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,15 +9,38 @@ import (
 	"repro/internal/event"
 	"repro/internal/ids"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/object"
+	"repro/internal/reliable"
 	"repro/internal/testutil"
 	"repro/internal/transport"
 )
 
+// gatedFabric is a netsim fabric whose dispatch workers for one node park
+// on a channel before handling each message: while the gate is shut the
+// node's admission queues only fill, so a test can hold them shut until
+// the overflow it wants to observe has happened.
+type gatedFabric struct {
+	*netsim.Fabric
+	node ids.NodeID
+	gate chan struct{}
+}
+
+func (g gatedFabric) Attach(n ids.NodeID, h transport.Handler) error {
+	if n == g.node {
+		inner := h
+		h = func(m transport.Message) {
+			<-g.gate
+			inner(m)
+		}
+	}
+	return g.Fabric.Attach(n, h)
+}
+
 // TestChaosQoSBackpressureExactlyOnce runs tenant-class raises through a
-// deliberately tiny admission budget (Depth 4) on a lossy fabric (10%
-// drop) with FT on, and checks the §15 QoS layer composes with the
-// exactly-once machinery: admission rejects surface as ErrBackpressure to
+// deliberately tiny admission budget (one message per shard) on a lossy
+// fabric (10% drop) with FT on, and checks the §15 QoS layer composes with
+// the exactly-once machinery: admission rejects surface as backpressure to
 // the reliable layer, which retries them like any other loss, so every
 // raise lands exactly once — no event lost to a shed, none doubled by the
 // retransmits — and no system- or control-class message is ever shed.
@@ -28,12 +52,24 @@ func TestChaosQoSBackpressureExactlyOnce(t *testing.T) {
 		// kernel-originated stays on the unbounded system/control queues.
 		Apps:    map[string]transport.Class{"tenant": 1},
 		Weights: map[transport.Class]int{1: 4},
-		// A one-message tenant budget guarantees the admission path
-		// actually rejects — the point of the test: with seven flooder
-		// threads raising concurrently (and the reliable layer's
-		// per-send transmit goroutines all posting at once), any two
-		// overlapping arrivals at the sink's shard overflow it.
-		Depth: 1,
+		Depth:   1,
+	}
+	// The sink's node handles nothing until admission has rejected: a
+	// reject needs arrivals to collide at a shard, and with the workers
+	// parked every flooder's envelope (and its retransmits) piles onto
+	// the one-message budget, so the overflow is forced rather than left
+	// to the scheduler.
+	cfg.Metrics = metrics.NewRegistry()
+	gate := make(chan struct{})
+	cfg.Transport = gatedFabric{
+		Fabric: netsim.New(netsim.Config{
+			Metrics:         cfg.Metrics,
+			DispatchWorkers: runtime.GOMAXPROCS(0),
+			QoS:             cfg.QoS,
+			Batch:           netsim.BatchConfig{Enabled: true},
+		}),
+		node: 1,
+		gate: gate,
 	}
 	sys := newSystem(t, cfg)
 
@@ -87,6 +123,11 @@ func TestChaosQoSBackpressureExactlyOnce(t *testing.T) {
 			handles = append(handles, h)
 		}
 	}
+	shed := metrics.DispatchQShed(transport.Class(1).Name())
+	testutil.WaitFor(t, "tenant admission to reject at the parked sink node", func() bool {
+		return cfg.Metrics.Get(shed) > 0
+	})
+	close(gate)
 	for i, h := range handles {
 		if _, err := h.WaitTimeout(30 * time.Second); err != nil {
 			t.Fatalf("flooder %d: %v", i, err)
@@ -97,15 +138,21 @@ func TestChaosQoSBackpressureExactlyOnce(t *testing.T) {
 	const want = nodes * threadsPer * perThread
 	testutil.WaitFor(t, "all handlers to run", func() bool { return handled.Load() >= want })
 	// Straggler retransmits of shed copies must not double-run a handler.
-	time.Sleep(100 * time.Millisecond)
+	// A send still awaiting its ack retransmits at least every RetryMax, so
+	// a retry counter that stays put for longer than that means none is.
+	lastRetries, since := int64(-1), time.Time{}
+	testutil.WaitFor(t, "retransmits to go quiet", func() bool {
+		if n := cfg.Metrics.Get(metrics.CtrRelRetry); n != lastRetries {
+			lastRetries, since = n, time.Now()
+			return false
+		}
+		return time.Since(since) > reliable.DefaultRetryMax
+	})
 	if got := handled.Load(); got != want {
 		t.Errorf("handler ran %d times for %d raises, want exactly once each", got, want)
 	}
 
 	snap := sys.Metrics().Snapshot()
-	if snap.Get(metrics.DispatchQShed(transport.Class(1).Name())) == 0 {
-		t.Error("tenant admission never rejected — the backpressure path was not exercised")
-	}
 	if snap.Get(metrics.CtrRelRetry) == 0 {
 		t.Error("no retransmissions — rejects and drops were not retried")
 	}

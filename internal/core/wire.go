@@ -11,29 +11,13 @@ import (
 )
 
 // WireConfig tunes the wire-efficiency fast path. The zero value turns
-// every optimization on; each flag is phrased negatively so legacy
-// behaviour (full attribute snapshots, eager standalone acks, all-pairs
-// heartbeats) is an explicit opt-in for measurement, not the default.
+// every optimization on; the two negative flags select the reference
+// protocols the optimized ones are measured and differentially tested
+// against (E11, E13, TestCodecDifferential).
 type WireConfig struct {
 	// FullAttrs ships complete attribute snapshots on every invocation hop
 	// (the paper's literal §3.1 protocol) instead of version-keyed deltas.
 	FullAttrs bool
-	// AttrCacheSize bounds the per-node snapshot cache (0 =
-	// attrcache.DefaultSize). Irrelevant under FullAttrs.
-	AttrCacheSize int
-	// StandaloneAcks makes the reliable layer ack every data message
-	// immediately with a dedicated message instead of piggybacking
-	// cumulative acks on reverse traffic.
-	StandaloneAcks bool
-	// AckDelay is the piggyback flush window: how long a cumulative ack may
-	// wait for reverse traffic to ride on before a standalone ack is sent
-	// (0 = 1ms — comfortably under the reliable layer's retry base).
-	AckDelay time.Duration
-	// EagerHeartbeats restores all-pairs heartbeating: every node beats
-	// every peer each period regardless of traffic. Off, nodes monitor one
-	// ring successor, any received message counts as liveness, and beats
-	// are suppressed on links that just carried data.
-	EagerHeartbeats bool
 	// NoBatching disables per-link send coalescing (DESIGN.md §11),
 	// restoring one fabric message per envelope/delta/ack. On (batching
 	// enabled, the default), messages to the same peer coalesce into batch
@@ -44,14 +28,15 @@ type WireConfig struct {
 	// BatchMaxMsgs flushes a pending frame at this record count
 	// (0 = netsim.DefaultBatchMaxMsgs).
 	BatchMaxMsgs int
-	// BatchMaxBytes flushes a pending frame at this encoded size
-	// (0 = netsim.DefaultBatchMaxBytes).
-	BatchMaxBytes int
 	// FlushInterval bounds how long a message may wait in a pending frame
 	// (0 = netsim.DefaultFlushInterval). It is the worst-case latency
 	// batching adds to any hop; keep it under the reliable layer's retry
 	// base or every coalesced envelope will look like a loss.
 	FlushInterval time.Duration
+
+	// attrCacheSize bounds the per-node snapshot cache (0 =
+	// attrcache.DefaultSize); tests shrink it to force evictions.
+	attrCacheSize int
 }
 
 // errAttrResync is the callee's signal that it no longer holds the base

@@ -14,7 +14,7 @@ import (
 // snapshot — all invisible to the application, whose attribute edits must
 // merge back exactly as if the delta had applied.
 func TestDeltaResyncAfterCacheEviction(t *testing.T) {
-	sys := newSystem(t, Config{Nodes: 2, Wire: WireConfig{AttrCacheSize: 1}})
+	sys := newSystem(t, Config{Nodes: 2, Wire: WireConfig{attrCacheSize: 1}})
 	target, err := sys.CreateObject(2, object.Spec{
 		Name: "wire-target",
 		Entries: map[string]object.Entry{

@@ -15,10 +15,10 @@ import (
 )
 
 const (
-	widRPCRequest     = 40
-	widRPCResponse    = 41
-	widHeartbeat      = 42
-	widFDNotice       = 43
+	widRPCRequest  = 40
+	widRPCResponse = 41
+	// 42 (heartbeat) and 43 (fdNotice) belonged to the all-pairs and ring
+	// failure detectors; retired, never to be reused.
 	widReleaseReq     = 44
 	widInvokeReq      = 45
 	widInvokeReply    = 46
@@ -92,10 +92,6 @@ func init() {
 		func(d *wire.Dec) rpcResponse {
 			return rpcResponse{ID: d.Uvarint(), Body: d.Value(), Err: wdecErr(d)}
 		})
-	wire.Register(widHeartbeat, "core.heartbeat",
-		func(heartbeat) int { return 0 },
-		func(*wire.Enc, heartbeat) {},
-		func(*wire.Dec) heartbeat { return heartbeat{} })
 	wire.Register(widGossipFrame, "core.gossipFrame",
 		// The payload is already the gossip codec's canonical encoding
 		// (internal/failure); the wire layer ships it opaquely.
@@ -159,12 +155,6 @@ func init() {
 				}
 			}
 			return r
-		})
-	wire.Register(widFDNotice, "core.fdNotice",
-		func(n fdNotice) int { return wire.SizeUvarint(uint64(n.Node)) + 1 },
-		func(e *wire.Enc, n fdNotice) { e.Uvarint(uint64(n.Node)); e.Bool(n.Up) },
-		func(d *wire.Dec) fdNotice {
-			return fdNotice{Node: ids.NodeID(d.Uvarint()), Up: d.Bool()}
 		})
 	wire.Register(widReleaseReq, "core.releaseReq",
 		func(r releaseReq) int {

@@ -45,8 +45,6 @@ func codecSamples() map[string]any {
 			ID: 9, Body: kvReply{Val: "x", Found: true},
 			Err: fmt.Errorf("get: %w", ErrNodeDown),
 		},
-		"heartbeat": heartbeat{},
-		"fdNotice":  fdNotice{Node: 3, Up: false},
 		"releaseReq": releaseReq{
 			ID: 4, Verdict: event.VerdictResume, Consumed: true, Err: ErrUnhandledSync,
 		},

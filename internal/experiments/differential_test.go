@@ -7,14 +7,13 @@ import (
 	"repro/internal/core"
 )
 
-// TestCodecDifferential reruns the E1–E9 scenarios under the legacy wire
-// configuration (full attribute snapshots, standalone acks, eager
-// heartbeats — the seed's behavior) and the optimized default (delta
-// attributes, piggybacked acks, suppression), and asserts every
-// behavior-bearing table cell is identical. The wire layer is an encoding:
-// it may change how many bytes cross the fabric and how long things take,
-// never what the protocols do. Timing columns and byte columns are the only
-// ones allowed to differ.
+// TestCodecDifferential reruns the E1–E9 scenarios under the reference
+// wire configuration (full attribute snapshots — the paper's literal §3.1
+// protocol) and the optimized default (delta attributes), and asserts
+// every behavior-bearing table cell is identical. The wire layer is an
+// encoding: it may change how many bytes cross the fabric and how long
+// things take, never what the protocols do. Timing columns and byte
+// columns are the only ones allowed to differ.
 func TestCodecDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep in -short mode")
@@ -43,12 +42,7 @@ func TestCodecDifferential(t *testing.T) {
 	// NoBatching on both sides: batching coalesces messages on a timer, so
 	// message-count columns would depend on scheduling, not on the codec
 	// under test.
-	legacy := runUnder(core.WireConfig{
-		FullAttrs:       true,
-		StandaloneAcks:  true,
-		EagerHeartbeats: true,
-		NoBatching:      true,
-	})
+	legacy := runUnder(core.WireConfig{FullAttrs: true, NoBatching: true})
 	optimized := runUnder(core.WireConfig{NoBatching: true})
 
 	if len(legacy) != len(optimized) {

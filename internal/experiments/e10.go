@@ -67,16 +67,8 @@ func RunE10(dropRates []float64) Table {
 }
 
 func runE10Cell(drop float64, crash, ft bool) []string {
-	row, _ := runE10CellWire(drop, crash, ft, core.WireConfig{})
-	return row
-}
-
-// runE10CellWire runs one E10 cell under an explicit wire configuration and
-// additionally returns the metrics diff, so E11 can rerun the worst cells
-// with the wire optimizations toggled and break the traffic down by kind.
-func runE10CellWire(drop float64, crash, ft bool, wire core.WireConfig) ([]string, metrics.Snapshot) {
 	const nodes, doomed = 8, ids.NodeID(8)
-	cfg := core.Config{Nodes: nodes, CallTimeout: time.Second, Wire: wire}
+	cfg := core.Config{Nodes: nodes, CallTimeout: time.Second}
 	if ft {
 		cfg.FT = core.FTConfig{
 			Enabled:         true,
@@ -293,5 +285,5 @@ func runE10CellWire(drop float64, crash, ft bool, wire core.WireConfig) ([]strin
 		itoa(e10Raised), i64(delivered.Load()), i64(e10Raised - delivered.Load()),
 		leaked, blocked,
 		i64(diff.Get(metrics.CtrRelRetry)), i64(diff.Get(metrics.CtrMsgSent)),
-	}, diff
+	}
 }

@@ -8,13 +8,10 @@ import (
 )
 
 // E11 — wire-efficiency fast path (DESIGN.md §8). The §3.1 design decision
-// that attributes travel with the thread is priced per hop: the seed
-// shipped the full attribute snapshot both ways on every remote invocation,
-// and the FT subsystem paid for liveness with O(n²) eager heartbeats plus
-// one standalone ack per reliable message. E11 measures what the three
-// optimizations — delta attribute propagation, cumulative piggybacked acks,
-// and heartbeat suppression with ring monitoring — buy, each table against
-// its legacy configuration on an identical workload.
+// that attributes travel with the thread is priced per hop: the paper's
+// literal protocol ships the full attribute snapshot both ways on every
+// remote invocation. E11 measures what delta attribute propagation buys
+// against that reference on an identical workload.
 
 // e11Invokes is the remote round-trip count per attribute-codec cell.
 const e11Invokes = 200
@@ -108,52 +105,4 @@ func runE11Cell(depth int, full bool) []string {
 		i64(diff.Get(metrics.CtrAttrFullSent)), i64(diff.Get(metrics.CtrAttrDeltaSent)),
 		i64(diff.Get(metrics.CtrAttrResync)), i64(diff.Get(metrics.CtrAttrCacheHit)),
 	}
-}
-
-// RunE11FT reruns E10's worst cells — 10% message loss, with and without a
-// mid-workload crash, FT subsystem on — under the legacy wire configuration
-// (eager all-pairs heartbeats, one standalone ack per message, full
-// attribute snapshots) and the optimized one (ring monitoring + heartbeat
-// suppression, cumulative piggybacked acks, delta attributes), and
-// decomposes the fabric traffic by message kind.
-func RunE11FT() Table {
-	t := Table{
-		ID:    "E11b",
-		Title: "FT control traffic: legacy vs optimized wire on E10's worst cells (DESIGN.md §8)",
-		Headers: []string{
-			"drop", "crash", "wire", "delivered", "msgs", "KB",
-			"hb", "hb suppressed", "data", "acks", "piggyback",
-		},
-	}
-	legacy := core.WireConfig{
-		FullAttrs:       true,
-		StandaloneAcks:  true,
-		EagerHeartbeats: true,
-	}
-	for _, crash := range []bool{false, true} {
-		for _, opt := range []bool{false, true} {
-			wire, label := legacy, "legacy"
-			if opt {
-				wire, label = core.WireConfig{}, "optimized"
-			}
-			row, diff := runE10CellWire(0.10, crash, true, wire)
-			t.Rows = append(t.Rows, []string{
-				row[0], row[1], label, row[4],
-				i64(diff.Get(metrics.CtrMsgSent)),
-				i64(diff.Get(metrics.CtrMsgBytes) / 1024),
-				i64(diff.Get(metrics.KindMsgs("k.fd.hb"))),
-				i64(diff.Get(metrics.CtrFDSuppressed)),
-				i64(diff.Get(metrics.KindMsgs("rel.data"))),
-				i64(diff.Get(metrics.KindMsgs("rel.ack"))),
-				i64(diff.Get(metrics.CtrRelAckPiggyback)),
-			})
-		}
-	}
-	t.Notes = append(t.Notes,
-		"same workload, cluster and fault schedule as E10; only the wire configuration differs.",
-		"legacy = eager all-pairs heartbeats + standalone acks + full attribute snapshots (the seed).",
-		"optimized = ring-successor monitoring, any-traffic liveness + suppression, cumulative piggybacked acks, delta attributes.",
-		"hb counts explicit heartbeat messages; membership notices ride the reliable channel and appear under data.",
-	)
-	return t
 }

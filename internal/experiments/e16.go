@@ -80,7 +80,7 @@ func RunE16(sizes []int) Table {
 		"tree = cached+hash locate (consistent-hash residency directory) + spanning-tree relay fan-out (K=4); uni = the seed path, cached+broadcast locate + one post per member from the raiser.",
 		"msgs/raise amortizes the cold locate storm over the raise count — broadcast locate costs O(n) messages per member once, the hash directory O(1).",
 		"peak node/raise is the largest single-node physical send count per raise: the raiser bears n-1 under unicast, ~K under the relay tree; peak reduction = uni/tree, the gated load-spread claim.",
-		"FT is off so the counters carry only workload traffic (E11b measures detector traffic separately).",
+		"FT is off so the counters carry only workload traffic (doctbench's failure.msgs_per_s prices detector traffic separately).",
 	)
 	return t
 }

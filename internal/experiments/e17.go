@@ -233,7 +233,7 @@ func E17Recovery(events int) (E17RecoveryStats, error) {
 	if err != nil {
 		return E17RecoveryStats{}, err
 	}
-	_, stats, err := wal.Scan(filepath.Join(dir, fmt.Sprintf("node-%d", victim)), wal.ReplayOptions{}, func(uint16, []byte) error { return nil })
+	_, stats, err := wal.Scan(filepath.Join(dir, fmt.Sprintf("node-%d", victim)), func(uint16, []byte) error { return nil })
 	if err != nil {
 		return E17RecoveryStats{}, err
 	}

@@ -304,15 +304,14 @@ func RunE2(clusterSizes, depths []int) Table {
 	type strat struct {
 		name string
 		mk   func() locate.Strategy
-		mc   bool
 	}
 	strategies := []strat{
-		{"broadcast", func() locate.Strategy { return locate.Broadcast{} }, false},
-		{"path-follow", func() locate.Strategy { return locate.PathFollow{} }, false},
-		{"multicast", func() locate.Strategy { return locate.Multicast{} }, true},
-		{"cached+broadcast", func() locate.Strategy { return locate.NewCache(locate.Broadcast{}, 0) }, false},
-		{"cached+path-follow", func() locate.Strategy { return locate.NewCache(locate.PathFollow{}, 0) }, false},
-		{"cached+multicast", func() locate.Strategy { return locate.NewCache(locate.Multicast{}, 0) }, true},
+		{"broadcast", func() locate.Strategy { return locate.Broadcast{} }},
+		{"path-follow", func() locate.Strategy { return locate.PathFollow{} }},
+		{"multicast", func() locate.Strategy { return locate.Multicast{} }},
+		{"cached+broadcast", func() locate.Strategy { return locate.NewCache(locate.Broadcast{}, 0) }},
+		{"cached+path-follow", func() locate.Strategy { return locate.NewCache(locate.PathFollow{}, 0) }},
+		{"cached+multicast", func() locate.Strategy { return locate.NewCache(locate.Multicast{}, 0) }},
 	}
 	for _, st := range strategies {
 		for _, n := range clusterSizes {
@@ -320,7 +319,7 @@ func RunE2(clusterSizes, depths []int) Table {
 				if d >= n {
 					continue
 				}
-				cold, msgs, warm, hms := locateCost(st.mk, st.mc, n, d)
+				cold, msgs, warm, hms := locateCost(st.mk, n, d)
 				t.Rows = append(t.Rows, []string{
 					st.name, itoa(n), itoa(d), i64(cold), i64(msgs), i64(warm), hms,
 				})
@@ -340,9 +339,9 @@ func RunE2(clusterSizes, depths []int) Table {
 // node that never hosted the thread: one cold (first contact) and one warm
 // (the thread has not moved since, so a location cache answers without
 // probing). The thread is then terminated outside the measured window.
-func locateCost(mk func() locate.Strategy, trackMC bool, n, d int) (cold, msgs, warm int64, cacheHMS string) {
+func locateCost(mk func() locate.Strategy, n, d int) (cold, msgs, warm int64, cacheHMS string) {
 	s := mk()
-	sys := mustSystem(core.Config{Nodes: n, Locator: s, TrackMulticast: trackMC})
+	sys := mustSystem(core.Config{Nodes: n, Locator: s})
 	defer sys.Close()
 	if err := sys.RegisterProc("e2.noop", func(_ object.Ctx, _ event.HandlerRef, _ *event.Block) event.Verdict {
 		return event.VerdictResume

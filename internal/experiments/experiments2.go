@@ -707,6 +707,5 @@ func All() []Table {
 		RunE9(nil),
 		RunE10(nil),
 		RunE11(nil),
-		RunE11FT(),
 	}
 }

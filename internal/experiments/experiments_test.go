@@ -316,8 +316,8 @@ func TestAllRuns(t *testing.T) {
 		t.Skip("full experiment sweep in -short mode")
 	}
 	tables := All()
-	if len(tables) != 13 {
-		t.Fatalf("All() = %d tables, want 13", len(tables))
+	if len(tables) != 12 {
+		t.Fatalf("All() = %d tables, want 12", len(tables))
 	}
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {

@@ -1,40 +1,18 @@
-// Package failure implements a heartbeat-based crash-failure detector, one
-// instance per node. Subscribers receive membership events and the kernel
-// turns them into NODE_DOWN / NODE_UP system events — the generalization of
-// the paper's §7.2 THREAD_DEATH notices from one dead thread to a whole
-// dead node's worth of threads.
+// Package failure implements the crash-failure detector, one instance per
+// node. Subscribers receive membership events and the kernel turns them
+// into NODE_DOWN / NODE_UP system events — the generalization of the
+// paper's §7.2 THREAD_DEATH notices from one dead thread to a whole dead
+// node's worth of threads.
 //
-// Three monitoring topologies are supported:
+// Detection is SWIM-style gossip (gossip.go): randomized probing with
+// ping-req escalation, incarnation numbers, and membership dissemination
+// piggybacked on the protocol's own messages. O(1) messages per node per
+// period and O(log n) dissemination rounds, whatever the cluster size.
 //
-//   - Legacy all-pairs (the zero value): every node heartbeats every peer
-//     each period and sweeps every peer's arrival time. Simple, and O(n²)
-//     messages per period.
-//   - Ring (Config.Ring true): the live nodes form a sorted ring; each node
-//     heartbeats only its ring predecessor and watches only its ring
-//     successor, so steady-state heartbeat traffic is O(n) per period.
-//     Detections are disseminated out-of-band by the owner (the kernel
-//     sends reliable notices and feeds them back via ApplyRemote), and
-//     suspected peers are probed once per suspicion window so partitions
-//     heal and restarts are noticed.
-//   - Gossip (Config.Gossip true, takes precedence over Ring): SWIM-style
-//     randomized probing with ping-req escalation, incarnation numbers,
-//     and membership dissemination piggybacked on the protocol's own
-//     messages — no out-of-band notices. O(1) messages per node per
-//     period and O(log n) dissemination rounds, the scale mode for
-//     clusters past a few dozen nodes. See gossip.go.
-//
-// Independently of topology, any received message counts as liveness
-// evidence (the owner feeds Observe), and explicit heartbeats/probes are
-// suppressed toward peers that just proved themselves alive (the owner
-// feeds ObserveSend; gossip suppresses on fresh arrivals) — an idle link
-// is the only thing that still costs periodic liveness messages.
-//
-// The ring and all-pairs modes are deliberately simple (no incarnation
-// numbers): the netsim fabric gives every pair of nodes a direct link, so
-// a missing heartbeat means the peer is crashed, partitioned away, or
-// badly lossy — and for the DO/CT protocols those all warrant the same
-// reaction, because posts and probes toward such a node would otherwise
-// hang their callers. Gossip adds incarnations because rumors outlive
+// Any received message counts as liveness evidence (the owner feeds
+// Observe), and probes are suppressed toward peers that just proved
+// themselves alive — an idle link is the only thing that still costs
+// periodic liveness messages. Incarnations exist because rumors outlive
 // their subjects: a restart must be able to out-vote stale death notices
 // still circulating.
 package failure
@@ -51,41 +29,34 @@ import (
 	"repro/internal/vclock"
 )
 
-// DefaultPeriod is the heartbeat interval when Config.Period is zero.
-// Heartbeats are cheap fabric messages, so the default favors detection
-// latency over traffic.
+// DefaultPeriod is the probe interval when Config.Period is zero. Probes
+// are cheap fabric messages, so the default favors detection latency over
+// traffic.
 const DefaultPeriod = 15 * time.Millisecond
 
 // DefaultSuspectMultiple sets the suspicion threshold when
 // Config.SuspectAfter is zero: a peer is suspected after this many silent
-// heartbeat periods. Several consecutive heartbeats must be lost before a
-// node is declared down, which gives jitter tolerance — with 10% message
-// loss the false-suspicion probability per sweep is 10^-5.
+// probe periods. Several consecutive probes must be lost before a node is
+// declared down, which gives jitter tolerance — with 10% message loss the
+// false-suspicion probability per window is 10^-5.
 const DefaultSuspectMultiple = 5
 
 // Config parameterizes a Detector.
 type Config struct {
-	// Period is the heartbeat interval (0 = DefaultPeriod).
+	// Period is the probe interval (0 = DefaultPeriod).
 	Period time.Duration
 	// SuspectAfter is how long a peer may stay silent before it is
 	// declared down (0 = DefaultSuspectMultiple × Period). It must be
 	// comfortably larger than Period plus fabric latency and jitter.
 	SuspectAfter time.Duration
-	// Ring selects ring-successor monitoring (see the package comment).
-	// False keeps the legacy all-pairs topology.
-	Ring bool
-	// Gossip selects SWIM-style gossip membership (gossip.go) and takes
-	// precedence over Ring. The owner must wire SetGossipSend and feed
-	// received gossip messages to HandleGossip.
-	Gossip bool
-	// Seed seeds gossip's probe-order and helper-selection randomness
+	// Seed seeds the probe-order and helper-selection randomness
 	// (0 = 1). Detectors mix their node ID in, so one cluster-wide seed
 	// still de-correlates the per-node probe schedules while keeping a
 	// seeded run replayable.
 	Seed int64
-	// Metrics receives heartbeat and transition accounting (nil = none).
+	// Metrics receives probe and transition accounting (nil = none).
 	Metrics *metrics.Registry
-	// Clock drives heartbeat periods, silence clocks and suspicion
+	// Clock drives probe periods, silence clocks and suspicion
 	// windows (nil = the machine clock). A *vclock.Virtual runs detection
 	// in virtual time.
 	Clock vclock.Clock
@@ -98,9 +69,6 @@ func (c *Config) fillDefaults() {
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = DefaultSuspectMultiple * c.Period
 	}
-	if c.Gossip {
-		c.Ring = false // gossip takes precedence; exactly one topology runs
-	}
 }
 
 // Event is one membership transition observed by a detector.
@@ -112,10 +80,6 @@ type Event struct {
 	// Gen is the observing detector's view generation after the
 	// transition; it increases monotonically with every transition.
 	Gen uint64
-	// Remote marks transitions applied from another detector's notice
-	// (ApplyRemote) rather than observed locally. The kernel disseminates
-	// only local transitions, which is what keeps notices from echoing.
-	Remote bool
 }
 
 // Membership is a point-in-time cluster view from one detector.
@@ -125,32 +89,30 @@ type Membership struct {
 	Suspected []ids.NodeID // suspected peers, ascending
 }
 
-// Detector watches a peer set for crash failures. Create with New, then
-// Start; the owner feeds Heartbeat/Observe as messages arrive.
+// Detector watches a peer set for crash failures. Create with New, wire
+// SetGossipSend, then Start; the owner feeds Observe and HandleGossip as
+// messages arrive.
 type Detector struct {
 	cfg   Config
 	clk   vclock.Clock
 	self  ids.NodeID
 	peers []ids.NodeID
-	ring  []ids.NodeID // self + peers, ascending (ring order)
-	beat  func(to ids.NodeID)
+	ring  []ids.NodeID // self + peers, ascending
 
 	mu        sync.Mutex
 	lastSeen  map[ids.NodeID]time.Time
-	lastSent  map[ids.NodeID]time.Time // last outbound data per peer (suppression)
 	lastProbe map[ids.NodeID]time.Time // last probe toward a suspected peer
 	suspected map[ids.NodeID]bool
-	watch     ids.NodeID // ring mode: the peer this node currently monitors
 	gen       uint64
 	subs      []func(Event)
-	// rejoin asks the next beat round to heartbeat every peer once. Set on
-	// Resume: a restarted node must announce itself to the whole cluster,
-	// because its ring predecessor may itself have restarted — a fresh
-	// detector that never suspected us never emits the NODE_UP transition
-	// the rest of the cluster is waiting to have disseminated.
+	// rejoin asks the next tick to ping every peer once. Set on Resume: a
+	// restarted node must announce itself to the whole cluster, because
+	// any single peer it happens to probe may itself have restarted — a
+	// fresh detector that never suspected us never emits the NODE_UP
+	// transition the rest of the cluster is waiting to have disseminated.
 	rejoin bool
 
-	// Gossip mode state (gossip.go), all guarded by mu. gout tracks
+	// Gossip protocol state (gossip.go), all guarded by mu. gout tracks
 	// outstanding direct probes; ginc is the highest incarnation heard
 	// per peer; selfInc is this node's own incarnation (bumped on restart
 	// and on refuting a death rumor); gqueue holds rumors awaiting
@@ -166,9 +128,8 @@ type Detector struct {
 	gqueue   []gossipItem
 	gseq     uint32
 
-	// paused freezes beats, sweeps and probes while this node simulates
-	// being crashed (fail-stop realism: a dead node emits nothing and
-	// suspects nobody).
+	// paused freezes probing while this node simulates being crashed
+	// (fail-stop realism: a dead node emits nothing and suspects nobody).
 	paused atomic.Bool
 
 	startOnce sync.Once
@@ -177,20 +138,15 @@ type Detector struct {
 	wg        sync.WaitGroup
 }
 
-// New builds a detector for self watching peers. beat is called to send one
-// heartbeat message to one peer (nil for tests that drive Heartbeat
-// directly): every peer each period in all-pairs mode, the ring predecessor
-// in ring mode, plus probes toward suspected peers.
-func New(cfg Config, self ids.NodeID, peers []ids.NodeID, beat func(to ids.NodeID)) *Detector {
+// New builds a detector for self watching peers.
+func New(cfg Config, self ids.NodeID, peers []ids.NodeID) *Detector {
 	cfg.fillDefaults()
 	d := &Detector{
 		cfg:       cfg,
 		clk:       vclock.Or(cfg.Clock),
 		self:      self,
 		peers:     append([]ids.NodeID(nil), peers...),
-		beat:      beat,
 		lastSeen:  make(map[ids.NodeID]time.Time, len(peers)),
-		lastSent:  make(map[ids.NodeID]time.Time, len(peers)),
 		lastProbe: make(map[ids.NodeID]time.Time),
 		suspected: make(map[ids.NodeID]bool),
 		stopCh:    make(chan struct{}),
@@ -201,18 +157,15 @@ func New(cfg Config, self ids.NodeID, peers []ids.NodeID, beat func(to ids.NodeI
 	for _, p := range d.peers {
 		d.lastSeen[p] = now
 	}
-	if d.cfg.Gossip {
-		d.initGossipLocked()
-	}
-	d.recomputeWatchLocked(now)
+	d.initGossipLocked()
 	return d
 }
 
-// Period returns the configured heartbeat interval.
+// Period returns the configured probe interval.
 func (d *Detector) Period() time.Duration { return d.cfg.Period }
 
 // Subscribe registers a callback for membership transitions. Callbacks run
-// synchronously on the detector's sweep (or observation caller's) goroutine
+// synchronously on the detector's tick (or observation caller's) goroutine
 // and must not block. Subscribe before Start.
 func (d *Detector) Subscribe(f func(Event)) {
 	d.mu.Lock()
@@ -220,8 +173,8 @@ func (d *Detector) Subscribe(f func(Event)) {
 	d.mu.Unlock()
 }
 
-// Start launches the heartbeat/sweep loop. Peers get a full suspicion
-// window from Start before they can be suspected.
+// Start launches the probe loop. Peers get a full suspicion window from
+// Start before they can be suspected.
 func (d *Detector) Start() {
 	d.startOnce.Do(func() {
 		d.Reset()
@@ -239,7 +192,7 @@ func (d *Detector) Stop() {
 // Reset silently clears all suspicion state and restarts every peer's
 // silence clock. The kernel calls it (via Resume) when this node itself
 // restarts after a crash: its stale arrival times would otherwise instantly
-// suspect every peer that heartbeated normally while it was dead.
+// suspect every peer that probed normally while it was dead.
 func (d *Detector) Reset() {
 	now := d.clk.Now()
 	d.mu.Lock()
@@ -248,21 +201,18 @@ func (d *Detector) Reset() {
 	}
 	d.suspected = make(map[ids.NodeID]bool)
 	d.lastProbe = make(map[ids.NodeID]time.Time)
-	if d.gout != nil {
-		// Gossip: outstanding probes and queued rumors predate the reset
-		// and would instantly re-suspect peers or spread stale facts.
-		// Incarnations are kept — higher-wins makes them safe, and
-		// forgetting them would let old death rumors re-apply.
-		d.gout = make(map[ids.NodeID]*gossipProbe)
-		d.gqueue = nil
-		d.reshufflePermLocked()
-	}
-	d.recomputeWatchLocked(now)
+	// Outstanding probes and queued rumors predate the reset and would
+	// instantly re-suspect peers or spread stale facts. Incarnations are
+	// kept — higher-wins makes them safe, and forgetting them would let
+	// old death rumors re-apply.
+	d.gout = make(map[ids.NodeID]*gossipProbe)
+	d.gqueue = nil
+	d.reshufflePermLocked()
 	d.mu.Unlock()
 }
 
 // Suspend freezes the detector while its node simulates a crash: a
-// fail-stopped node sends no heartbeats, probes nothing, and raises no
+// fail-stopped node probes nothing, answers nothing, and raises no
 // suspicions. State is kept; Resume clears it.
 func (d *Detector) Suspend() { d.paused.Store(true) }
 
@@ -272,28 +222,17 @@ func (d *Detector) Resume() {
 	d.Reset()
 	d.mu.Lock()
 	d.rejoin = true
-	if d.ginc != nil {
-		// A restarted node re-enters at a fresh incarnation so its alive
-		// announcement out-votes any death rumor still circulating from
-		// the crash it just recovered from.
-		d.selfInc++
-		d.enqueueUpdateLocked(Update{Node: d.self, Up: true, Inc: d.selfInc})
-	}
+	// A restarted node re-enters at a fresh incarnation so its alive
+	// announcement out-votes any death rumor still circulating from the
+	// crash it just recovered from.
+	d.selfInc++
+	d.enqueueUpdateLocked(Update{Node: d.self, Up: true, Inc: d.selfInc})
 	d.mu.Unlock()
 	d.paused.Store(false)
 }
 
-// Heartbeat records an explicit heartbeat arrival from a peer. A suspected
-// peer heartbeating again triggers an up transition.
-func (d *Detector) Heartbeat(from ids.NodeID) {
-	if d.cfg.Metrics != nil {
-		d.cfg.Metrics.Inc(metrics.CtrFDHeartbeat)
-	}
-	d.Observe(from)
-}
-
 // Observe records liveness evidence for a peer from any received message —
-// data traffic proves the sender alive just as well as a heartbeat. A
+// data traffic proves the sender alive just as well as a probe ack. A
 // suspected peer showing life triggers an up transition.
 func (d *Detector) Observe(from ids.NodeID) {
 	d.mu.Lock()
@@ -301,12 +240,9 @@ func (d *Detector) Observe(from ids.NodeID) {
 		d.mu.Unlock()
 		return
 	}
-	now := d.clk.Now()
-	d.lastSeen[from] = now
-	if d.gout != nil {
-		// Gossip: any arrival is an implicit ack for an outstanding probe.
-		delete(d.gout, from)
-	}
+	d.lastSeen[from] = d.clk.Now()
+	// Any arrival is an implicit ack for an outstanding probe.
+	delete(d.gout, from)
 	var evs []Event
 	if d.suspected[from] {
 		delete(d.suspected, from)
@@ -315,68 +251,12 @@ func (d *Detector) Observe(from ids.NodeID) {
 		if d.cfg.Metrics != nil {
 			d.cfg.Metrics.Inc(metrics.CtrFDNodeUp)
 		}
-		if d.ginc != nil {
-			// Direct observation out-votes the death rumor we believed:
-			// bump the peer's known incarnation and gossip it alive (the
-			// documented deviation from strict SWIM; the peer's own
-			// refutation, if any, always carries a higher incarnation
-			// still and wins).
-			d.ginc[from]++
-			d.enqueueUpdateLocked(Update{Node: from, Up: true, Inc: d.ginc[from]})
-		}
-		d.recomputeWatchLocked(now)
-	}
-	subs := d.subs
-	d.mu.Unlock()
-	notify(subs, evs)
-}
-
-// ObserveSend records that a data message just left for a peer: that
-// message is liveness evidence at the receiver, so the next explicit
-// heartbeat toward the peer is unnecessary and will be suppressed.
-// Heartbeats themselves are never recorded here — suppression must not
-// feed on its own output.
-func (d *Detector) ObserveSend(to ids.NodeID) {
-	d.mu.Lock()
-	if _, known := d.lastSeen[to]; known {
-		d.lastSent[to] = d.clk.Now()
-	}
-	d.mu.Unlock()
-}
-
-// ApplyRemote applies a membership transition disseminated by another
-// detector. Transitions about this node itself are ignored (it is plainly
-// alive); already-known state is idempotent. Resulting events carry
-// Remote=true so the owner does not re-disseminate them.
-func (d *Detector) ApplyRemote(node ids.NodeID, up bool) {
-	if node == d.self {
-		return
-	}
-	d.mu.Lock()
-	if _, known := d.lastSeen[node]; !known {
-		d.mu.Unlock()
-		return
-	}
-	now := d.clk.Now()
-	var evs []Event
-	switch {
-	case !up && !d.suspected[node]:
-		d.suspected[node] = true
-		d.gen++
-		evs = append(evs, Event{Node: node, Up: false, Gen: d.gen, Remote: true})
-		if d.cfg.Metrics != nil {
-			d.cfg.Metrics.Inc(metrics.CtrFDNodeDown)
-		}
-		d.recomputeWatchLocked(now)
-	case up && d.suspected[node]:
-		delete(d.suspected, node)
-		d.lastSeen[node] = now
-		d.gen++
-		evs = append(evs, Event{Node: node, Up: true, Gen: d.gen, Remote: true})
-		if d.cfg.Metrics != nil {
-			d.cfg.Metrics.Inc(metrics.CtrFDNodeUp)
-		}
-		d.recomputeWatchLocked(now)
+		// Direct observation out-votes the death rumor we believed: bump
+		// the peer's known incarnation and gossip it alive (the documented
+		// deviation from strict SWIM; the peer's own refutation, if any,
+		// always carries a higher incarnation still and wins).
+		d.ginc[from]++
+		d.enqueueUpdateLocked(Update{Node: from, Up: true, Inc: d.ginc[from]})
 	}
 	subs := d.subs
 	d.mu.Unlock()
@@ -392,14 +272,6 @@ func (d *Detector) Suspected(node ids.NodeID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.suspected[node]
-}
-
-// Watching returns the peer this detector currently monitors in ring mode
-// (NoNode when alone or in all-pairs mode, where every peer is watched).
-func (d *Detector) Watching() ids.NodeID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.watch
 }
 
 // View returns the detector's current membership view.
@@ -419,61 +291,6 @@ func (d *Detector) View() Membership {
 	return m
 }
 
-// recomputeWatchLocked re-derives the ring watch target: the first
-// unsuspected peer after self in ring order. A watch change grants the new
-// target a fresh silence clock — it was not responsible for heartbeating us
-// until now. Caller holds d.mu.
-func (d *Detector) recomputeWatchLocked(now time.Time) {
-	if !d.cfg.Ring {
-		return
-	}
-	prev := d.watch
-	d.watch = d.succLocked()
-	if d.watch != prev && d.watch != ids.NoNode {
-		d.lastSeen[d.watch] = now
-	}
-}
-
-// succLocked finds the live ring successor of self (NoNode when alone).
-func (d *Detector) succLocked() ids.NodeID {
-	n := len(d.ring)
-	start := 0
-	for i, id := range d.ring {
-		if id == d.self {
-			start = i
-			break
-		}
-	}
-	for i := 1; i < n; i++ {
-		cand := d.ring[(start+i)%n]
-		if cand != d.self && !d.suspected[cand] {
-			return cand
-		}
-	}
-	return ids.NoNode
-}
-
-// predLocked finds the live ring predecessor of self (NoNode when alone).
-// Consistency with succLocked is what makes the ring sound: x watches
-// succ(x), and succ(x)'s beat target pred(succ(x)) is x.
-func (d *Detector) predLocked() ids.NodeID {
-	n := len(d.ring)
-	start := 0
-	for i, id := range d.ring {
-		if id == d.self {
-			start = i
-			break
-		}
-	}
-	for i := 1; i < n; i++ {
-		cand := d.ring[(start-i%n+n)%n]
-		if cand != d.self && !d.suspected[cand] {
-			return cand
-		}
-	}
-	return ids.NoNode
-}
-
 func (d *Detector) loop() {
 	defer d.wg.Done()
 	ticker := d.clk.NewTicker(d.cfg.Period)
@@ -486,95 +303,9 @@ func (d *Detector) loop() {
 			if d.paused.Load() {
 				continue
 			}
-			if d.cfg.Gossip {
-				d.gossipTick()
-				continue
-			}
-			d.emitBeats()
-			d.sweep()
+			d.gossipTick()
 		}
 	}
-}
-
-// emitBeats sends this period's heartbeats. Legacy all-pairs mode beats
-// every peer unconditionally — byte-for-byte what the old per-period
-// broadcast did. Ring mode beats only the live ring predecessor, skips
-// even that when outbound data just proved us alive (suppression), and
-// adds one probe per suspicion window toward each suspected peer so a
-// healed partition or restarted node is rediscovered.
-func (d *Detector) emitBeats() {
-	if d.beat == nil {
-		return
-	}
-	now := d.clk.Now()
-	var out []ids.NodeID
-	d.mu.Lock()
-	if !d.cfg.Ring {
-		out = append(out, d.peers...)
-	} else if d.rejoin {
-		// Rejoin announcement: one full round so every peer that still
-		// suspects this node observes it alive and disseminates the up
-		// transition (see the rejoin field).
-		d.rejoin = false
-		out = append(out, d.peers...)
-	} else {
-		if p := d.predLocked(); p != ids.NoNode {
-			if now.Sub(d.lastSent[p]) < d.cfg.Period {
-				if d.cfg.Metrics != nil {
-					d.cfg.Metrics.Inc(metrics.CtrFDSuppressed)
-				}
-			} else {
-				out = append(out, p)
-			}
-		}
-		// Probing: a suspected peer hears from us once per suspicion
-		// window. If it is actually alive (partition healed, node
-		// restarted), our probe is liveness evidence at its end; its
-		// detector up-transitions us and traffic starts flowing back.
-		for p := range d.suspected {
-			if now.Sub(d.lastProbe[p]) >= d.cfg.SuspectAfter {
-				d.lastProbe[p] = now
-				out = append(out, p)
-			}
-		}
-	}
-	d.mu.Unlock()
-	for _, t := range out {
-		d.beat(t)
-	}
-}
-
-// sweep declares silent peers down: every peer in all-pairs mode, only the
-// watch target in ring mode (other peers are someone else's watch; their
-// deaths arrive via ApplyRemote).
-func (d *Detector) sweep() {
-	now := d.clk.Now()
-	var evs []Event
-	d.mu.Lock()
-	candidates := d.peers
-	if d.cfg.Ring {
-		candidates = candidates[:0:0]
-		if d.watch != ids.NoNode {
-			candidates = append(candidates, d.watch)
-		}
-	}
-	for _, p := range candidates {
-		if d.suspected[p] || now.Sub(d.lastSeen[p]) <= d.cfg.SuspectAfter {
-			continue
-		}
-		d.suspected[p] = true
-		d.gen++
-		evs = append(evs, Event{Node: p, Up: false, Gen: d.gen})
-		if d.cfg.Metrics != nil {
-			d.cfg.Metrics.Inc(metrics.CtrFDNodeDown)
-		}
-	}
-	if len(evs) > 0 {
-		d.recomputeWatchLocked(now)
-	}
-	subs := d.subs
-	d.mu.Unlock()
-	notify(subs, evs)
 }
 
 func notify(subs []func(Event), evs []Event) {

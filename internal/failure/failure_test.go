@@ -35,16 +35,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestSuspectSilentPeer: a peer that stops heartbeating is declared down;
-// one that keeps heartbeating is not.
+// TestSuspectSilentPeer: a peer that stays silent on every channel is
+// declared down; one that keeps showing traffic is not.
 func TestSuspectSilentPeer(t *testing.T) {
 	d := New(Config{Period: 3 * time.Millisecond, SuspectAfter: 15 * time.Millisecond},
-		1, []ids.NodeID{2, 3}, nil)
+		1, []ids.NodeID{2, 3})
 	events := collect(d)
 	d.Start()
 	defer d.Stop()
 
-	// Node 2 heartbeats; node 3 stays silent.
+	// Node 2 keeps talking; node 3 stays silent.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -55,7 +55,7 @@ func TestSuspectSilentPeer(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(2 * time.Millisecond):
-				d.Heartbeat(2)
+				d.Observe(2)
 			}
 		}
 	}()
@@ -63,7 +63,7 @@ func TestSuspectSilentPeer(t *testing.T) {
 
 	waitFor(t, "node 3 suspected", func() bool { return d.Suspected(3) })
 	if d.Suspected(2) {
-		t.Error("node 2 suspected despite heartbeating")
+		t.Error("node 2 suspected despite its traffic")
 	}
 	if d.Suspected(1) {
 		t.Error("detector suspects its own node")
@@ -83,19 +83,20 @@ func TestSuspectSilentPeer(t *testing.T) {
 	}
 }
 
-// TestUpTransitionOnHeartbeat: a suspected peer that heartbeats again is
-// declared up, with a generation above the down transition's.
+// TestUpTransitionOnHeartbeat: a suspected peer that shows life again —
+// any message from it is a heartbeat — is declared up at once, with a
+// generation above the down transition's.
 func TestUpTransitionOnHeartbeat(t *testing.T) {
 	d := New(Config{Period: 3 * time.Millisecond, SuspectAfter: 12 * time.Millisecond},
-		1, []ids.NodeID{2}, nil)
+		1, []ids.NodeID{2})
 	events := collect(d)
 	d.Start()
 	defer d.Stop()
 
 	waitFor(t, "node 2 suspected", func() bool { return d.Suspected(2) })
-	d.Heartbeat(2)
+	d.Observe(2)
 	if d.Suspected(2) {
-		t.Fatal("node 2 still suspected after heartbeat")
+		t.Fatal("node 2 still suspected after its traffic was observed")
 	}
 	evs := events()
 	if len(evs) < 2 {
@@ -111,7 +112,7 @@ func TestUpTransitionOnHeartbeat(t *testing.T) {
 // silence clocks (the restarted-node path).
 func TestResetClearsSuspicion(t *testing.T) {
 	d := New(Config{Period: 3 * time.Millisecond, SuspectAfter: 12 * time.Millisecond},
-		1, []ids.NodeID{2}, nil)
+		1, []ids.NodeID{2})
 	events := collect(d)
 	d.Start()
 	defer d.Stop()
@@ -127,183 +128,14 @@ func TestResetClearsSuspicion(t *testing.T) {
 	}
 }
 
-// TestUnknownPeerIgnored: heartbeats from nodes outside the peer set do
-// not grow the detector's state.
+// TestUnknownPeerIgnored: traffic from nodes outside the peer set does not
+// grow the detector's state.
 func TestUnknownPeerIgnored(t *testing.T) {
-	d := New(Config{}, 1, []ids.NodeID{2}, nil)
-	d.Heartbeat(99)
+	d := New(Config{}, 1, []ids.NodeID{2})
+	d.Observe(99)
 	v := d.View()
 	if len(v.Alive) != 2 {
 		t.Errorf("View().Alive = %v, want [1 2]", v.Alive)
-	}
-}
-
-// TestBeatCallbackRuns: the detector drives its own per-peer heartbeats.
-func TestBeatCallbackRuns(t *testing.T) {
-	beats := make(chan ids.NodeID, 64)
-	d := New(Config{Period: 2 * time.Millisecond}, 1, []ids.NodeID{2}, func(to ids.NodeID) {
-		select {
-		case beats <- to:
-		default:
-		}
-	})
-	d.Start()
-	defer d.Stop()
-	for i := 0; i < 3; i++ {
-		select {
-		case to := <-beats:
-			if to != 2 {
-				t.Fatalf("beat target = %d, want 2", to)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("beat callback never ran")
-		}
-	}
-}
-
-// beatRecorder captures beat targets threadsafely.
-type beatRecorder struct {
-	mu  sync.Mutex
-	tos []ids.NodeID
-}
-
-func (r *beatRecorder) beat(to ids.NodeID) {
-	r.mu.Lock()
-	r.tos = append(r.tos, to)
-	r.mu.Unlock()
-}
-
-func (r *beatRecorder) count(to ids.NodeID) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, t := range r.tos {
-		if t == to {
-			n++
-		}
-	}
-	return n
-}
-
-// TestRingBeatsPredecessorOnly: in ring mode a node heartbeats only its live
-// ring predecessor and watches its live ring successor.
-func TestRingBeatsPredecessorOnly(t *testing.T) {
-	rec := &beatRecorder{}
-	d := New(Config{Period: 2 * time.Millisecond, Ring: true}, 2, []ids.NodeID{1, 3}, rec.beat)
-	if got := d.Watching(); got != 3 {
-		t.Fatalf("Watching() = %d, want successor 3", got)
-	}
-	d.Start()
-	defer d.Stop()
-
-	// Keep both peers alive so the topology stays put.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(2 * time.Millisecond):
-				d.Observe(1)
-				d.Observe(3)
-			}
-		}
-	}()
-	defer func() { close(stop); wg.Wait() }()
-
-	waitFor(t, "beats toward predecessor 1", func() bool { return rec.count(1) >= 3 })
-	if n := rec.count(3); n != 0 {
-		t.Errorf("node 2 sent %d beats to its successor 3, want 0", n)
-	}
-}
-
-// TestObserveSendSuppressesBeat: recent outbound data toward the beat target
-// suppresses the explicit heartbeat — the data already proved us alive.
-func TestObserveSendSuppressesBeat(t *testing.T) {
-	rec := &beatRecorder{}
-	d := New(Config{Period: 4 * time.Millisecond, Ring: true}, 1, []ids.NodeID{2}, rec.beat)
-	d.Start()
-	defer d.Stop()
-
-	// Constant chatter in both directions: every beat should be suppressed.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond):
-				d.Observe(2)
-				d.ObserveSend(2)
-			}
-		}
-	}()
-
-	time.Sleep(60 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	// Allow a beat or two from startup races, but the steady state must be
-	// silent: 60ms / 4ms = ~15 periods would beat without suppression.
-	if n := rec.count(2); n > 3 {
-		t.Errorf("got %d beats despite constant outbound traffic, want ~0", n)
-	}
-}
-
-// TestRingSweepsOnlyWatch: a silent non-watch peer is not suspected locally
-// (its watcher will tell us); the watch target is.
-func TestRingSweepsOnlyWatch(t *testing.T) {
-	d := New(Config{Period: 3 * time.Millisecond, SuspectAfter: 15 * time.Millisecond, Ring: true},
-		1, []ids.NodeID{2, 3}, nil)
-	d.Start()
-	defer d.Stop()
-
-	// Node 3 (not the watch — watch is successor 2) heartbeats never; node 2
-	// is silent too. Only 2 may be suspected by the local sweep... but once 2
-	// is down the watch moves to 3, so assert the order of events instead.
-	waitFor(t, "watch target 2 suspected", func() bool { return d.Suspected(2) })
-	if got := d.Watching(); got != 3 {
-		t.Fatalf("after suspecting 2, Watching() = %d, want 3", got)
-	}
-	// 3 got a fresh grace clock on the watch handoff, so at this instant it
-	// must not be suspected yet even though it was silent the whole time.
-	if d.Suspected(3) {
-		t.Error("node 3 suspected before it ever became the watch target")
-	}
-}
-
-// TestApplyRemote: remote transitions update the view idempotently, carry
-// Remote=true, and ignore self / unknown nodes.
-func TestApplyRemote(t *testing.T) {
-	d := New(Config{Ring: true}, 1, []ids.NodeID{2, 3}, nil)
-	events := collect(d)
-
-	d.ApplyRemote(1, false)  // self: ignored
-	d.ApplyRemote(99, false) // unknown: ignored
-	d.ApplyRemote(3, false)
-	d.ApplyRemote(3, false) // duplicate: idempotent
-	if !d.Suspected(3) {
-		t.Fatal("node 3 not suspected after remote down notice")
-	}
-	d.ApplyRemote(3, true)
-	if d.Suspected(3) {
-		t.Fatal("node 3 still suspected after remote up notice")
-	}
-
-	evs := events()
-	if len(evs) != 2 {
-		t.Fatalf("got %d events %+v, want exactly down+up for node 3", len(evs), evs)
-	}
-	if evs[0].Node != 3 || evs[0].Up || !evs[0].Remote {
-		t.Errorf("first event = %+v, want remote down for 3", evs[0])
-	}
-	if evs[1].Node != 3 || !evs[1].Up || !evs[1].Remote || evs[1].Gen <= evs[0].Gen {
-		t.Errorf("second event = %+v, want remote up for 3 with higher gen", evs[1])
 	}
 }
 
@@ -311,7 +143,7 @@ func TestApplyRemote(t *testing.T) {
 // clears state and restarts monitoring.
 func TestSuspendResume(t *testing.T) {
 	d := New(Config{Period: 3 * time.Millisecond, SuspectAfter: 12 * time.Millisecond},
-		1, []ids.NodeID{2}, nil)
+		1, []ids.NodeID{2})
 	d.Start()
 	defer d.Stop()
 
@@ -327,13 +159,26 @@ func TestSuspendResume(t *testing.T) {
 // TestProbesSuspectedPeer: a suspected peer still hears from us once per
 // suspicion window, so partitions heal and restarts are noticed.
 func TestProbesSuspectedPeer(t *testing.T) {
-	rec := &beatRecorder{}
-	d := New(Config{Period: 3 * time.Millisecond, SuspectAfter: 12 * time.Millisecond, Ring: true},
-		1, []ids.NodeID{2}, rec.beat)
+	var mu sync.Mutex
+	sent := 0
+	d := New(Config{Period: 3 * time.Millisecond, SuspectAfter: 12 * time.Millisecond},
+		1, []ids.NodeID{2})
+	d.SetGossipSend(func(to ids.NodeID, _ []byte) {
+		mu.Lock()
+		if to == 2 {
+			sent++
+		}
+		mu.Unlock()
+	})
+	count := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return sent
+	}
 	d.Start()
 	defer d.Stop()
 
 	waitFor(t, "node 2 suspected", func() bool { return d.Suspected(2) })
-	base := rec.count(2)
-	waitFor(t, "probe toward suspected node 2", func() bool { return rec.count(2) > base })
+	base := count()
+	waitFor(t, "probe toward suspected node 2", func() bool { return count() > base })
 }

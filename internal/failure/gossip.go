@@ -1,16 +1,15 @@
-// SWIM-style gossip membership (Config.Gossip): randomized round-robin
-// ping probing with indirect ping-req escalation and piggybacked
-// membership dissemination. Chosen over the ring topology for large
-// clusters because both probe load and dissemination fan-out stay O(1)
-// per node per period regardless of cluster size, while a detection
-// spreads to everyone in O(log n) gossip rounds.
+// SWIM-style gossip membership: randomized round-robin ping probing with
+// indirect ping-req escalation and piggybacked membership dissemination.
+// Both probe load and dissemination fan-out stay O(1) per node per period
+// regardless of cluster size, while a detection spreads to everyone in
+// O(log n) gossip rounds.
 //
 // Protocol sketch (one detector, per Period tick):
 //
 //   - Probe: pick the next peer from a seeded shuffled permutation
 //     (reshuffled each cycle) and ping it, unless traffic from it was
-//     seen within the last Period (any message is an implicit ack —
-//     the same suppression the other topologies use). The probe stays
+//     seen within the last Period (any message is an implicit ack). The
+//     probe stays
 //     outstanding until traffic arrives from the peer.
 //   - Escalate: an outstanding probe is re-pinged every tick; after one
 //     Period without an answer, ping-req is sent to K random live peers,
@@ -33,8 +32,8 @@
 // (Observe), and the subject's own refutation always carries a higher
 // incarnation, so the histories still converge.
 //
-// Suspected peers are probed once per SuspectAfter, exactly as in ring
-// mode, so healed partitions and silent restarts are rediscovered: the
+// Suspected peers are probed once per SuspectAfter, so healed partitions
+// and silent restarts are rediscovered: the
 // probe elicits an ack, and the ack is the liveness evidence that
 // up-transitions the peer.
 package failure
@@ -272,11 +271,10 @@ type gossipOut struct {
 	m  GossipMsg
 }
 
-// SetGossipSend wires the transport callback used by gossip mode to
-// emit protocol messages. payload is the canonical encoding; the owner
-// ships it with a kind that bypasses the reliable layer, exactly like
-// heartbeats (gossip has its own redundancy; retransmitting stale pings
-// would only add load).
+// SetGossipSend wires the transport callback used to emit protocol
+// messages. payload is the canonical encoding; the owner ships it with a
+// kind that bypasses the reliable layer (gossip has its own redundancy;
+// retransmitting stale pings would only add load).
 func (d *Detector) SetGossipSend(fn func(to ids.NodeID, payload []byte)) {
 	d.mu.Lock()
 	d.gsend = fn
@@ -425,8 +423,7 @@ func (d *Detector) pickHelpersLocked(subject ids.NodeID) []ids.NodeID {
 	return cands
 }
 
-// gossipTick runs one gossip protocol round; it replaces emitBeats and
-// sweep when Config.Gossip is set.
+// gossipTick runs one gossip protocol round.
 func (d *Detector) gossipTick() {
 	now := d.clk.Now()
 	var outs []gossipOut
@@ -457,7 +454,6 @@ func (d *Detector) gossipTick() {
 						d.cfg.Metrics.Inc(metrics.CtrFDNodeDown)
 					}
 					d.enqueueUpdateLocked(Update{Node: n, Up: false, Inc: d.ginc[n]})
-					d.recomputeWatchLocked(now)
 				}
 			default:
 				if !pr.relayed && now.Sub(pr.start) >= d.cfg.Period {
@@ -485,8 +481,8 @@ func (d *Detector) gossipTick() {
 		d.gout[t] = &gossipProbe{start: now}
 		outs = append(outs, gossipOut{to: t, m: GossipMsg{Type: GossipPing}})
 	}
-	// Suspected peers are probed once per suspicion window, as in ring
-	// mode: the ack of a healed or restarted peer is what revives it.
+	// Suspected peers are probed once per suspicion window: the ack of a
+	// healed or restarted peer is what revives it.
 	if len(d.suspected) > 0 {
 		susp := make([]ids.NodeID, 0, len(d.suspected))
 		for p := range d.suspected {
@@ -632,12 +628,11 @@ func (d *Detector) applyUpdateLocked(u Update, now time.Time) []Event {
 		}
 		d.suspected[u.Node] = true
 		d.gen++
-		evs = append(evs, Event{Node: u.Node, Up: false, Gen: d.gen, Remote: true})
+		evs = append(evs, Event{Node: u.Node, Up: false, Gen: d.gen})
 		if d.cfg.Metrics != nil {
 			d.cfg.Metrics.Inc(metrics.CtrFDNodeDown)
 		}
 		d.enqueueUpdateLocked(u)
-		d.recomputeWatchLocked(now)
 	default: // u.Inc > cur: fresh incarnation, apply unconditionally
 		d.ginc[u.Node] = u.Inc
 		if u.Up == !d.suspected[u.Node] {
@@ -658,9 +653,8 @@ func (d *Detector) applyUpdateLocked(u Update, now time.Time) []Event {
 			}
 		}
 		d.gen++
-		evs = append(evs, Event{Node: u.Node, Up: u.Up, Gen: d.gen, Remote: true})
+		evs = append(evs, Event{Node: u.Node, Up: u.Up, Gen: d.gen})
 		d.enqueueUpdateLocked(u)
-		d.recomputeWatchLocked(now)
 	}
 	if d.cfg.Metrics != nil {
 		d.cfg.Metrics.Inc(metrics.CtrGossipUpdates)

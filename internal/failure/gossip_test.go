@@ -83,7 +83,7 @@ func newGossipMesh(n int, period, suspect time.Duration) *gossipMesh {
 				peers = append(peers, p)
 			}
 		}
-		d := New(Config{Period: period, SuspectAfter: suspect, Gossip: true, Seed: 42}, self, peers, nil)
+		d := New(Config{Period: period, SuspectAfter: suspect, Seed: 42}, self, peers)
 		from := self
 		d.SetGossipSend(func(to ids.NodeID, payload []byte) { m.deliver(from, to, payload) })
 		m.dets[self] = d
@@ -201,7 +201,7 @@ func TestGossipIndirectProbe(t *testing.T) {
 // TestGossipRefutesDeathRumor: a node hearing it is believed dead bumps
 // its incarnation and queues an alive refutation.
 func TestGossipRefutesDeathRumor(t *testing.T) {
-	d := New(Config{Period: time.Hour, SuspectAfter: 2 * time.Hour, Gossip: true}, 3, []ids.NodeID{1, 2}, nil)
+	d := New(Config{Period: time.Hour, SuspectAfter: 2 * time.Hour}, 3, []ids.NodeID{1, 2})
 	rumor := &GossipMsg{Type: GossipAck, Seq: 1, Origin: 1, Subject: 1, Updates: []Update{{Node: 3, Up: false, Inc: 0}}}
 	d.HandleGossip(1, rumor.Encode())
 	if inc := d.SelfIncarnation(); inc != 1 {
@@ -258,7 +258,7 @@ func TestGossipEventsMonotonic(t *testing.T) {
 // TestGossipIncarnationOrder: stale rumors lose — a lower-incarnation
 // down update must not override a higher-incarnation alive.
 func TestGossipIncarnationOrder(t *testing.T) {
-	d := New(Config{Period: time.Hour, SuspectAfter: 2 * time.Hour, Gossip: true}, 1, []ids.NodeID{2, 3}, nil)
+	d := New(Config{Period: time.Hour, SuspectAfter: 2 * time.Hour}, 1, []ids.NodeID{2, 3})
 	alive := &GossipMsg{Type: GossipAck, Seq: 1, Origin: 3, Updates: []Update{{Node: 2, Up: true, Inc: 5}}}
 	d.HandleGossip(3, alive.Encode())
 	stale := &GossipMsg{Type: GossipAck, Seq: 2, Origin: 3, Updates: []Update{{Node: 2, Up: false, Inc: 4}}}

@@ -377,9 +377,9 @@ func (m Multicast) locateResident(env Env, tid ids.ThreadID) (ids.NodeID, bool, 
 
 // UsesMulticast reports whether s — or the strategy it wraps — is the
 // Multicast strategy, which only works when the kernel maintains the
-// per-thread tracking groups (core.Config.TrackMulticast). Callers that
-// accept a strategy by name must consult this rather than type-assert, or
-// a wrapped "cached+multicast" silently probes an empty group.
+// per-thread tracking groups. The kernel consults this rather than
+// type-asserting, or a wrapped "cached+multicast" would silently probe an
+// empty group.
 func UsesMulticast(s Strategy) bool {
 	for {
 		switch v := s.(type) {

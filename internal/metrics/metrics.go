@@ -69,8 +69,12 @@ const (
 	CtrRelDupDropped = "rel.dup.dropped"
 	CtrRelDeadLetter = "rel.deadletter"
 
+	// Errors the kernel had no caller to return to (best-effort sends,
+	// background WAL maintenance): the total; ErrDropped names the
+	// per-site counter next to it.
+	CtrErrDropped = "core.err.dropped"
+
 	// Failure detection and recovery.
-	CtrFDHeartbeat   = "failure.heartbeat"
 	CtrFDSuppressed  = "failure.heartbeat.suppressed"
 	CtrFDNodeDown    = "failure.node.down"
 	CtrFDNodeUp      = "failure.node.up"
@@ -78,7 +82,7 @@ const (
 	CtrWaitersFailed = "failure.waiters.failed"
 
 	// Gossip membership (SWIM-style probing with piggybacked dissemination,
-	// DESIGN.md §13). ping/ack/pingreq count gossip messages sent by role;
+	// DESIGN.md §7). ping/ack/pingreq count gossip messages sent by role;
 	// updates counts piggybacked membership updates applied (fresh
 	// information only); refute counts self-alive refutations enqueued after
 	// hearing a rumor of our own death.
@@ -113,9 +117,12 @@ const (
 	CtrAttrCacheMiss  = "attr.cache.miss"
 	CtrAttrCacheEvict = "attr.cache.evict"
 
-	// Ack piggybacking (wire-efficiency layer, DESIGN.md §8).
+	// Ack piggybacking (DESIGN.md §7). withheld counts standalone acks the
+	// durability gate refused to release (reliable.Config.AckGate returned
+	// an error).
 	CtrRelAckPiggyback  = "rel.ack.piggyback"
 	CtrRelAckStandalone = "rel.ack.standalone"
+	CtrRelAckWithheld   = "rel.ack.withheld"
 
 	// Per-link batch coalescing (hot send path, DESIGN.md §11). frames and
 	// recs decompose coalesced traffic (recs/frames = mean batch size);
@@ -145,6 +152,10 @@ func KindBytes(kind string) string { return KindBytesPrefix + kind }
 
 // KindMsgs returns the per-kind message counter name for a message kind.
 func KindMsgs(kind string) string { return KindMsgsPrefix + kind }
+
+// ErrDropped returns the per-site dropped-error counter name:
+// core.err.dropped.<site>.
+func ErrDropped(site string) string { return CtrErrDropped + "." + site }
 
 // Per-class QoS dispatch accounting (DESIGN.md §15). Each dispatch-shard
 // class queue charges depth (a gauge: +1 on admit, -1 on pop), enq

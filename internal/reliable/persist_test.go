@@ -1,13 +1,16 @@
 package reliable
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/testutil"
 )
 
 // acceptRec is one OnAccept callback, as the durability layer would log it.
@@ -161,7 +164,6 @@ func TestOnAcceptOrdersBeforeAck(t *testing.T) {
 	var mu sync.Mutex
 	var acked int
 	e := New(Config{
-		StandaloneAcks: true,
 		OnAccept: func(ids.NodeID, uint64, uint64, uint64) {
 			hookEntered <- struct{}{}
 			<-gate
@@ -198,9 +200,60 @@ func TestOnAcceptOrdersBeforeAck(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Handle did not finish")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if acked != 1 {
-		t.Fatalf("acked = %d after hook release, want 1", acked)
+	// The delayed-ack flush carries it once the window expires.
+	testutil.WaitFor(t, "the ack after hook release", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return acked == 1
+	})
+}
+
+// TestAckGateErrorWithholdsAck: an AckGate that cannot make the accepted
+// envelopes durable keeps the ack in. The sender's retransmits — dedup-
+// dropped duplicates here — each ask the gate again, and the ack leaves
+// only once the gate succeeds.
+func TestAckGateErrorWithholdsAck(t *testing.T) {
+	const failures = 3
+	reg := metrics.NewRegistry()
+	gateCalls, acks, delivered := 0, 0, 0
+	e := New(Config{
+		AckDelay: time.Hour, // only the calls below reach the gate
+		Metrics:  reg,
+		AckGate: func() error {
+			if gateCalls++; gateCalls <= failures {
+				return errors.New("disk gone")
+			}
+			return nil
+		},
+	}, 2,
+		func(m netsim.Message) error {
+			if m.Kind == KindAck {
+				acks++
+			}
+			return nil
+		},
+		func(ids.NodeID, string, any) { delivered++ },
+		nil)
+	defer e.Close()
+
+	data := netsim.Message{From: 1, To: 2, Kind: KindData,
+		Payload: Envelope{Seq: 1, Kind: "k", Payload: "p"}}
+	e.Handle(data) // fresh: delivered, the ack is owed to the flush timer
+	e.flushAck(1)  // the flush window expires: gate failure 1
+	for i := 1; i < failures; i++ {
+		e.Handle(data) // retransmits: gate failures 2..N
+	}
+	if acks != 0 {
+		t.Fatalf("%d acks left while the gate was failing", acks)
+	}
+	if got := reg.Get(metrics.CtrRelAckWithheld); got != failures {
+		t.Errorf("%s = %d, want %d", metrics.CtrRelAckWithheld, got, failures)
+	}
+	e.Handle(data) // the gate recovers: this retransmit is acked
+	if acks != 1 {
+		t.Fatalf("acks = %d once the gate succeeded, want 1", acks)
+	}
+	if delivered != 1 {
+		t.Errorf("delivered %d copies, want exactly 1", delivered)
 	}
 }

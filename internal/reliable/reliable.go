@@ -8,12 +8,11 @@
 // exactly-once handler executions, the delivery guarantee framed by the
 // reliable-broadcast literature cited in PAPERS.md.
 //
-// Acknowledgements are cumulative and, by default, piggybacked: every
-// outbound envelope carries the highest contiguously-received sequence from
-// its destination (retiring every pending send at or below it for free),
-// and a standalone ack message is sent only when no reverse traffic shows
-// up within the flush window. Config.StandaloneAcks restores the legacy
-// one-ack-message-per-data-message protocol for measurement.
+// Acknowledgements are cumulative and piggybacked: every outbound envelope
+// carries the highest contiguously-received sequence from its destination
+// (retiring every pending send at or below it for free), and a standalone
+// ack message is sent only when no reverse traffic shows up within the
+// flush window, or at once in answer to a duplicate.
 //
 // A send that exhausts its retry budget goes to the endpoint's dead-letter
 // callback instead of vanishing: the kernel uses it to fail the waiting
@@ -75,14 +74,10 @@ type Config struct {
 	// window is also dropped: sequence numbers are monotonic, so anything
 	// at or below max-window was necessarily seen.
 	Window int
-	// StandaloneAcks restores the legacy ack policy: every data message is
-	// acknowledged immediately with a dedicated ack message. Off, acks ride
-	// on reverse-direction envelopes, with a standalone flush only when the
-	// AckDelay window expires without reverse traffic.
-	StandaloneAcks bool
-	// AckDelay is the piggyback flush window (0 = DefaultAckDelay). Must
-	// stay below RetryBase or every delayed ack arrives after the
-	// retransmit it was meant to prevent.
+	// AckDelay is the piggyback flush window: how long an ack waits for a
+	// reverse-direction envelope to ride on before it is flushed standalone
+	// (0 = DefaultAckDelay). Must stay below RetryBase or every delayed ack
+	// arrives after the retransmit it was meant to prevent.
 	AckDelay time.Duration
 	// Metrics receives send/retry/dedup/ack accounting (nil = none).
 	Metrics *metrics.Registry
@@ -110,15 +105,17 @@ type Config struct {
 	// generation stragglers never reach the hook.
 	OnAccept func(from ids.NodeID, gen, seq, cum uint64)
 	// AckGate, when set, runs immediately before a standalone ack message
-	// departs (immediate, duplicate-triggered, or delayed-flush). It must
-	// block until every acceptance OnAccept has observed so far is
-	// durable. Paired with an asynchronous OnAccept this forms the
-	// group-commit ack path: accepts append to the log without waiting,
-	// handlers run concurrently with the flush, and the single commit
-	// preceding the ack covers every accept in flight — instead of each
-	// accept paying its own fsync before the next message on the link can
-	// even be examined.
-	AckGate func()
+	// departs (duplicate-triggered or delayed-flush). It must block until
+	// every acceptance OnAccept has observed so far is durable, or return
+	// the error that kept it from becoming so — the ack is then withheld:
+	// the peer retransmits, the dedup window drops the copy, and the
+	// duplicate asks the gate again. Paired with an asynchronous OnAccept
+	// this forms the group-commit ack path: accepts append to the log
+	// without waiting, handlers run concurrently with the flush, and the
+	// single commit preceding the ack covers every accept in flight —
+	// instead of each accept paying its own fsync before the next message
+	// on the link can even be examined.
+	AckGate func() error
 	// AckFrontier, when set, bounds the cumulative ack piggybacked on
 	// outbound envelopes: given the peer and the current receive frontier
 	// it returns the highest frontier that is already durable, WITHOUT
@@ -221,6 +218,7 @@ type Endpoint struct {
 	ctrDeadLetter    *atomic.Int64
 	ctrAckPiggyback  *atomic.Int64
 	ctrAckStandalone *atomic.Int64
+	ctrAckWithheld   *atomic.Int64
 
 	// peersMu guards only the peer map; each peerState carries its own
 	// lock, so traffic to different peers never contends — previously one
@@ -258,7 +256,7 @@ type peerState struct {
 	seen     map[uint64]bool // received sequences above cum
 	lastRecv uint64          // most recently received sequence (dup or not)
 
-	// Delayed-ack state (piggyback mode only).
+	// Delayed-ack state.
 	ackOwed  bool
 	ackTimer *vclock.Timer
 }
@@ -284,6 +282,7 @@ func New(cfg Config, self ids.NodeID, send SendFunc, deliver DeliverFunc, dead D
 		ctrDeadLetter:    reg.Counter(metrics.CtrRelDeadLetter),
 		ctrAckPiggyback:  reg.Counter(metrics.CtrRelAckPiggyback),
 		ctrAckStandalone: reg.Counter(metrics.CtrRelAckStandalone),
+		ctrAckWithheld:   reg.Counter(metrics.CtrRelAckWithheld),
 		peers:            make(map[ids.NodeID]*peerState),
 		closed:           make(chan struct{}),
 	}
@@ -452,9 +451,9 @@ func (p pendingEnv) FinalizeFlush() any {
 }
 
 // takePiggyback returns the current cumulative receive frontier for peer
-// to, and — in piggyback mode — settles any ack debt to that peer: the
-// envelope about to carry this value is the ack, so the flush timer's
-// standalone message is no longer needed.
+// to and settles any ack debt to that peer: the envelope about to carry
+// this value is the ack, so the flush timer's standalone message is no
+// longer needed.
 func (e *Endpoint) takePiggyback(to ids.NodeID) uint64 {
 	p := e.peer(to)
 	p.mu.Lock()
@@ -474,7 +473,7 @@ func (e *Endpoint) takePiggyback(to ids.NodeID) uint64 {
 	// Settle the ack debt only when the envelope carries the full
 	// frontier; a clamped (or meanwhile outdated) value leaves the timer
 	// armed so the blocking standalone ack still reports the rest.
-	if !e.cfg.StandaloneAcks && p.ackOwed && ackCum == p.cum {
+	if p.ackOwed && ackCum == p.cum {
 		p.ackOwed = false
 		if p.ackTimer != nil {
 			p.ackTimer.Stop()
@@ -527,9 +526,9 @@ func (e *Endpoint) retire(from ids.NodeID, seq, cum uint64) {
 
 // Handle processes one incoming fabric message, returning false if the
 // message is not part of the reliable protocol (the caller dispatches it
-// itself). Data envelopes are always acknowledged — even duplicates, since
-// the peer is retransmitting precisely because an earlier ack was lost —
-// and delivered only when the sequence number is fresh.
+// itself). Data envelopes are always acknowledged — duplicates at once,
+// since the peer is retransmitting precisely because an earlier ack was
+// lost — and delivered only when the sequence number is fresh.
 func (e *Endpoint) Handle(m netsim.Message) bool {
 	switch m.Kind {
 	case KindAck:
@@ -561,20 +560,14 @@ func (e *Endpoint) Handle(m netsim.Message) bool {
 			// must already be durable.
 			e.cfg.OnAccept(m.From, env.Gen, env.Seq, cum)
 		}
-		switch {
-		case e.cfg.StandaloneAcks:
-			e.sendAck(m.From, env.Seq)
-		case isFresh:
+		if isFresh {
 			e.scheduleAck(m.From)
-		default:
+			e.del(m.From, env.Kind, env.Payload)
+		} else {
 			// A duplicate means the peer is retransmitting because our ack
 			// was lost or late — answer immediately instead of delaying
 			// again, or a straggler can burn its whole retry budget waiting.
 			e.sendAck(m.From, env.Seq)
-		}
-		if isFresh {
-			e.del(m.From, env.Kind, env.Payload)
-		} else {
 			e.ctrDupDropped.Add(1)
 		}
 		return true
@@ -589,12 +582,23 @@ func (e *Endpoint) sendAck(to ids.NodeID, seq uint64) {
 	p.mu.Lock()
 	cum := p.cum
 	p.mu.Unlock()
+	e.emitAck(to, seq, cum)
+}
+
+// emitAck passes the AckGate and ships one standalone ack. A gate error
+// means the acceptances behind cum are not durable: the ack is withheld
+// and the peer's retransmit (a duplicate here) asks again.
+func (e *Endpoint) emitAck(to ids.NodeID, seq, cum uint64) {
 	if e.cfg.AckGate != nil {
-		e.cfg.AckGate()
+		if err := e.cfg.AckGate(); err != nil {
+			e.ctrAckWithheld.Add(1)
+			return
+		}
 	}
 	e.ctrAckStandalone.Add(1)
 	// Acks are protocol plumbing: classed system so a flooded tenant queue
-	// can never delay (or shed) the ack that would drain it.
+	// can never delay (or shed) the ack that would drain it. A lost ack is
+	// recovered by the peer's retransmit, so the send error is dropped.
 	_ = e.send(netsim.Message{From: e.self, To: to, Kind: KindAck, Class: transport.ClassSystem, Payload: Ack{Seq: seq, Cum: cum}})
 }
 
@@ -634,11 +638,7 @@ func (e *Endpoint) flushAck(to ids.NodeID) {
 	p.ackOwed = false
 	seq, cum := p.lastRecv, p.cum
 	p.mu.Unlock()
-	if e.cfg.AckGate != nil {
-		e.cfg.AckGate()
-	}
-	e.ctrAckStandalone.Add(1)
-	_ = e.send(netsim.Message{From: e.self, To: to, Kind: KindAck, Class: transport.ClassSystem, Payload: Ack{Seq: seq, Cum: cum}})
+	e.emitAck(to, seq, cum)
 }
 
 // fresh records seq in the sender's dedup window, advances the cumulative

@@ -190,9 +190,9 @@ func TestWindowRejectsAncientDuplicates(t *testing.T) {
 	}
 }
 
-// TestPiggybackSuppressesStandaloneAcks: with prompt reverse traffic, acks
+// TestPiggybackSuppressesAckMessages: with prompt reverse traffic, acks
 // ride on data envelopes and standalone ack messages (mostly) disappear.
-func TestPiggybackSuppressesStandaloneAcks(t *testing.T) {
+func TestPiggybackSuppressesAckMessages(t *testing.T) {
 	var acks atomic.Int64
 	p := newLossyPair(t, Config{AckDelay: 20 * time.Millisecond, RetryBase: 40 * time.Millisecond},
 		func(m netsim.Message) bool {
@@ -315,31 +315,6 @@ func TestEnvelopePiggybackRetires(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("pending = %d after piggybacked cum, want 0", left)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestStandaloneAcksLegacyMode: the legacy flag restores one immediate ack
-// message per data message.
-func TestStandaloneAcksLegacyMode(t *testing.T) {
-	var acks atomic.Int64
-	p := newLossyPair(t, Config{StandaloneAcks: true}, func(m netsim.Message) bool {
-		if m.Kind == KindAck {
-			acks.Add(1)
-		}
-		return false
-	})
-	const total = 10
-	for i := 0; i < total; i++ {
-		if err := p.a.Send(2, "test", "x"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.deliveredCount() < total || acks.Load() < total {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered=%d acks=%d, want %d each", p.deliveredCount(), acks.Load(), total)
 		}
 		time.Sleep(time.Millisecond)
 	}

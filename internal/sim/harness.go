@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,11 +105,8 @@ func newHarness(seed int64, sc Scenario) (*harness, error) {
 		}
 		datadir = dir
 		cfg.Durability = core.DurabilityConfig{Enabled: true, Dir: dir, NoFsync: true}
-		switch sc.Bug {
-		case BugWALSkipFsync:
-			cfg.Durability.DropTailOnReplay = 8
-		case BugWALStaleSnapshot:
-			cfg.Durability.IgnoreTailOnReplay = true
+		if sc.Bug == BugWALStaleSnapshot {
+			// Snapshot often, so every crash finds one to fall back to.
 			cfg.Durability.SnapshotEvery = 8
 		}
 	}
@@ -209,12 +207,16 @@ func (h *harness) readyCount() int {
 
 func (h *harness) spawnWorker(w int, gid ids.GroupID) error {
 	node := ids.NodeID(workerNode(w, h.sc.Nodes))
+	// The slot is labelled before the spawn: spinEntry finds it by label to
+	// record its thread ID, and may get there before Spawn returns.
+	h.mu.Lock()
+	h.workers[w] = simWorker{label: workerLabel(w), node: node}
+	h.mu.Unlock()
 	hd, err := h.sys.Spawn(node, h.objs[node], "spin", workerLabel(w), gid)
 	if err != nil {
 		return err
 	}
 	h.mu.Lock()
-	h.workers[w] = simWorker{label: workerLabel(w), node: node}
 	h.handles = append(h.handles, hd)
 	h.mu.Unlock()
 	return nil
@@ -510,10 +512,10 @@ func (h *harness) markCrashed(node int) {
 }
 
 // captureDurable records, at the instant of a crash (the WAL is already
-// closed, so the disk is frozen), the state a CORRECT replay of the
-// victim's log would recover. The capture always scans with unbugged
-// replay options: it is the oracle the restarted node — possibly running
-// an injected replay defect — is held against.
+// closed, so the disk is frozen), the state a replay of the victim's log
+// recovers: the oracle the restarted node is held against. The injected
+// durability bugs strike right after the capture — the disk loses what it
+// had promised to keep, and the restart replays what is left.
 func (h *harness) captureDurable(opID, node int) {
 	if !h.sc.Durable {
 		return
@@ -526,6 +528,17 @@ func (h *harness) captureDurable(opID, node int) {
 	h.mu.Lock()
 	h.durSnap[node] = ds
 	h.mu.Unlock()
+
+	dir := filepath.Join(h.datadir, fmt.Sprintf("node-%d", node))
+	switch h.sc.Bug {
+	case BugWALSkipFsync:
+		err = dropTailFrames(dir, 8)
+	case BugWALStaleSnapshot:
+		err = dropSegmentsAfterSnapshot(dir)
+	}
+	if err != nil {
+		h.violate("durable-replay", opID, fmt.Sprintf("node %d: disk fault injection failed: %v", node, err))
+	}
 }
 
 // checkDurableRecovery diffs what the restarted node actually recovered

@@ -66,13 +66,15 @@ const (
 	// cleanup path. A terminate-while-holding schedule then strands the
 	// lock on a dead thread, which the orphan-lock invariant reports.
 	BugSkipChainedUnlock
-	// BugWALSkipFsync models a lost fsync window: replay discards the
-	// last few tail records, as if the final group commit never reached
-	// the platter. The durable-replay invariant reports the lost state.
+	// BugWALSkipFsync models a lost fsync window: between a crash and the
+	// restart the victim's newest WAL segment loses its last few frames,
+	// as if the final group commits never reached the platter. The
+	// durable-replay invariant reports the lost state.
 	BugWALSkipFsync
-	// BugWALStaleSnapshot models recovery trusting a snapshot and
-	// skipping the tail behind it — every record since the last snapshot
-	// is silently dropped. The durable-replay invariant reports it.
+	// BugWALStaleSnapshot models a disk that kept the snapshot and lost
+	// the tail behind it: between a crash and the restart every segment
+	// after the victim's newest snapshot disappears. The durable-replay
+	// invariant reports it.
 	BugWALStaleSnapshot
 )
 

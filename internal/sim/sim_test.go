@@ -347,9 +347,10 @@ func TestSimDurableDeterminism(t *testing.T) {
 	}
 }
 
-// TestSimCatchesDurabilityBugs reintroduces two classic recovery defects —
-// a lost fsync window (tail records discarded on replay) and a stale
-// snapshot (tail skipped entirely) — and requires the durable-replay
+// TestSimCatchesDurabilityBugs injects two classic durability faults — a
+// lost fsync window (the newest segment loses its last frames before the
+// restart) and a stale snapshot (every segment behind the newest snapshot
+// disappears) — and requires the durable-replay
 // invariant to catch each within a handful of seeds. This is the proof the
 // crash-restart-replay checker detects real durability regressions rather
 // than vacuously passing.

@@ -54,7 +54,7 @@ func FuzzWALRoundTrip(f *testing.F) {
 		}
 
 		var got []trec
-		snap, st, err := Scan(dir, ReplayOptions{}, func(k uint16, p []byte) error {
+		snap, st, err := Scan(dir, func(k uint16, p []byte) error {
 			got = append(got, trec{k, append([]byte(nil), p...)})
 			return nil
 		})
@@ -147,7 +147,7 @@ func FuzzWALTornTail(f *testing.F) {
 
 		// Scan never panics and yields a valid prefix of the originals.
 		var got []trec
-		_, st, err := Scan(dir, ReplayOptions{}, func(k uint16, p []byte) error {
+		_, st, err := Scan(dir, func(k uint16, p []byte) error {
 			got = append(got, trec{k, append([]byte(nil), p...)})
 			return nil
 		})
@@ -178,7 +178,7 @@ func FuzzWALTornTail(f *testing.F) {
 			t.Fatal(err)
 		}
 		var last trec
-		_, st2, err := Scan(dir, ReplayOptions{}, func(k uint16, p []byte) error {
+		_, st2, err := Scan(dir, func(k uint16, p []byte) error {
 			last = trec{k, append([]byte(nil), p...)}
 			return nil
 		})

@@ -76,20 +76,6 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// ReplayOptions tune one replay pass. The two fault flags exist for the
-// simulator's injected-bug tests (internal/sim): they deliberately
-// reproduce the two classic recovery regressions — losing the final
-// commit batch and trusting a stale snapshot — so the crash-restart-replay
-// checker can prove it catches them.
-type ReplayOptions struct {
-	// DropTail drops the last N tail records, as if the final group-commit
-	// batch had never been fsynced. Injected fault; zero for real recovery.
-	DropTail int
-	// IgnoreTail replays the snapshot only and ignores every record after
-	// it. Injected fault; false for real recovery.
-	IgnoreTail bool
-}
-
 // Stats reports what one replay pass saw.
 type Stats struct {
 	// Snapshot reports whether a valid snapshot was loaded, and
@@ -428,11 +414,11 @@ func (l *Log) pruneLocked(covered uint64) error {
 // Replay loads the newest valid snapshot (nil if none) and streams the
 // record tail after it, in LSN order, to fn. It reads the log's own
 // directory; call it right after Open, before new appends.
-func (l *Log) Replay(o ReplayOptions, fn func(kind uint16, payload []byte) error) ([]byte, Stats, error) {
+func (l *Log) Replay(fn func(kind uint16, payload []byte) error) ([]byte, Stats, error) {
 	if err := l.Sync(); err != nil {
 		return nil, Stats{}, err
 	}
-	return Scan(l.dir, o, fn)
+	return Scan(l.dir, fn)
 }
 
 // Close flushes the queue and closes the active segment.
@@ -480,9 +466,10 @@ func (l *Log) syncDir() error {
 
 // Scan walks the log directory read-only: it returns the newest valid
 // snapshot blob (nil if none) and streams the tail records after it to
-// fn. Torn tails and torn snapshots are skipped, never fatal — recovery
-// always lands on the last valid prefix.
-func Scan(dir string, o ReplayOptions, fn func(kind uint16, payload []byte) error) ([]byte, Stats, error) {
+// fn (the payload is only valid during the call). Torn tails and torn
+// snapshots are skipped, never fatal — recovery always lands on the last
+// valid prefix.
+func Scan(dir string, fn func(kind uint16, payload []byte) error) ([]byte, Stats, error) {
 	var st Stats
 	segs, snaps, err := scanDir(dir)
 	if err != nil {
@@ -507,13 +494,9 @@ func Scan(dir string, o ReplayOptions, fn func(kind uint16, payload []byte) erro
 		break
 	}
 
-	// Collect the tail: records with LSN > SnapshotLSN, cut at the first
+	// Stream the tail: records with LSN > SnapshotLSN, cut at the first
 	// invalid frame or numbering gap.
-	type rec struct {
-		kind    uint16
-		payload []byte
-	}
-	var tail []rec
+	var fnErr error
 	wantStart := uint64(0)
 	for _, s := range segs {
 		if wantStart != 0 && s.start != wantStart {
@@ -522,12 +505,19 @@ func Scan(dir string, o ReplayOptions, fn func(kind uint16, payload []byte) erro
 		}
 		n, _, torn, err := scanSegment(s.path, s.start, func(lsn uint64, kind uint16, payload []byte) {
 			st.LastLSN = lsn
-			if lsn > st.SnapshotLSN {
-				p := make([]byte, len(payload))
-				copy(p, payload)
-				tail = append(tail, rec{kind, p})
+			if lsn <= st.SnapshotLSN || fnErr != nil {
+				return
 			}
+			if fn != nil {
+				if fnErr = fn(kind, payload); fnErr != nil {
+					return
+				}
+			}
+			st.Records++
 		})
+		if err == nil {
+			err = fnErr
+		}
 		if err != nil {
 			return nil, st, err
 		}
@@ -536,25 +526,6 @@ func Scan(dir string, o ReplayOptions, fn func(kind uint16, payload []byte) erro
 			break
 		}
 		wantStart = s.start + uint64(n)
-	}
-
-	if o.IgnoreTail {
-		tail = nil
-	}
-	if o.DropTail > 0 {
-		if o.DropTail >= len(tail) {
-			tail = nil
-		} else {
-			tail = tail[:len(tail)-o.DropTail]
-		}
-	}
-	for _, r := range tail {
-		if fn != nil {
-			if err := fn(r.kind, r.payload); err != nil {
-				return nil, st, err
-			}
-		}
-		st.Records++
 	}
 	return snap, st, nil
 }

@@ -17,10 +17,10 @@ type trec struct {
 
 // replayAll reopens nothing: it scans dir and returns the snapshot plus
 // the collected tail.
-func replayAll(t *testing.T, dir string, o ReplayOptions) ([]byte, []trec, Stats) {
+func replayAll(t *testing.T, dir string) ([]byte, []trec, Stats) {
 	t.Helper()
 	var tail []trec
-	snap, st, err := Scan(dir, o, func(kind uint16, payload []byte) error {
+	snap, st, err := Scan(dir, func(kind uint16, payload []byte) error {
 		p := make([]byte, len(payload))
 		copy(p, payload)
 		tail = append(tail, trec{kind, p})
@@ -54,7 +54,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, tail, st := replayAll(t, dir, ReplayOptions{})
+	snap, tail, st := replayAll(t, dir)
 	if snap != nil {
 		t.Fatalf("unexpected snapshot: %q", snap)
 	}
@@ -82,7 +82,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, tail, st = replayAll(t, dir, ReplayOptions{})
+	_, tail, st = replayAll(t, dir)
 	if st.Records != 101 || tail[100].kind != 9 {
 		t.Fatalf("after reopen: stats %+v, last (%d, %q)", st, tail[100].kind, tail[100].payload)
 	}
@@ -110,7 +110,7 @@ func TestWALSegmentRotation(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("expected rotation to leave several segments, got %d", len(segs))
 	}
-	_, tail, st := replayAll(t, dir, ReplayOptions{})
+	_, tail, st := replayAll(t, dir)
 	if st.Records != 20 || len(tail) != 20 {
 		t.Fatalf("replay across segments: %+v", st)
 	}
@@ -140,7 +140,7 @@ func TestWALSnapshotPrunesAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, tail, st := replayAll(t, dir, ReplayOptions{})
+	snap, tail, st := replayAll(t, dir)
 	if string(snap) != "state@50" {
 		t.Fatalf("snapshot = %q", snap)
 	}
@@ -185,7 +185,7 @@ func TestWALSnapshotPrunesAndReplays(t *testing.T) {
 	if len(snaps) > snapKeep {
 		t.Fatalf("%d snapshots survived pruning (keep %d)", len(snaps), snapKeep)
 	}
-	snap, _, st = replayAll(t, dir, ReplayOptions{})
+	snap, _, st = replayAll(t, dir)
 	if string(snap) != "state@57b" || st.Records != 0 {
 		t.Fatalf("after re-snapshot: snap %q, stats %+v", snap, st)
 	}
@@ -221,7 +221,7 @@ func TestWALTornTailTruncatesOnOpen(t *testing.T) {
 	}
 
 	// Scan (read-only) sees 9 records and reports the tear.
-	_, tail, st := replayAll(t, dir, ReplayOptions{})
+	_, tail, st := replayAll(t, dir)
 	if st.Records != 9 || !st.Truncated {
 		t.Fatalf("scan after tear: %+v", st)
 	}
@@ -243,7 +243,7 @@ func TestWALTornTailTruncatesOnOpen(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, tail, st = replayAll(t, dir, ReplayOptions{})
+	_, tail, st = replayAll(t, dir)
 	if st.Records != 10 || st.Truncated {
 		t.Fatalf("after heal: %+v", st)
 	}
@@ -281,7 +281,7 @@ func TestWALCorruptMiddleRecordCutsThere(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, tail, st := replayAll(t, dir, ReplayOptions{})
+	_, tail, st := replayAll(t, dir)
 	if !st.Truncated {
 		t.Fatalf("bit flip not detected: %+v", st)
 	}
@@ -326,39 +326,12 @@ func TestWALTornSnapshotFallsBack(t *testing.T) {
 	if err := os.WriteFile(snapPath(dir, 2), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snap, tail, st := replayAll(t, dir, ReplayOptions{})
+	snap, tail, st := replayAll(t, dir)
 	if string(snap) != "good" || st.SnapshotLSN != 1 || !st.Truncated {
 		t.Fatalf("fallback failed: snap %q, stats %+v", snap, st)
 	}
 	if len(tail) != 1 || string(tail[0].payload) != "b" {
 		t.Fatalf("tail after fallback: %v", tail)
-	}
-}
-
-func TestWALReplayFaultInjection(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Snapshot([]byte("base"), 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := l.Append(1, []byte(fmt.Sprintf("t%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, tail, _ := replayAll(t, dir, ReplayOptions{DropTail: 2})
-	if len(tail) != 4 || string(tail[3].payload) != "t3" {
-		t.Fatalf("DropTail: %v", tail)
-	}
-	snap, tail, _ := replayAll(t, dir, ReplayOptions{IgnoreTail: true})
-	if string(snap) != "base" || len(tail) != 0 {
-		t.Fatalf("IgnoreTail: snap %q, tail %v", snap, tail)
 	}
 }
 
@@ -386,7 +359,7 @@ func TestWALGroupCommitConcurrentAppendSync(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, tail, st := replayAll(t, dir, ReplayOptions{})
+	_, tail, st := replayAll(t, dir)
 	if st.Records != writers*each {
 		t.Fatalf("lost records: %d of %d", st.Records, writers*each)
 	}
@@ -469,7 +442,7 @@ func TestWALOpenDropsUnreachableSegments(t *testing.T) {
 			t.Fatalf("segment %s still torn after reopen (err %v)", filepath.Base(left[i].path), err)
 		}
 	}
-	_, tail, st := replayAll(t, dir, ReplayOptions{})
+	_, tail, st := replayAll(t, dir)
 	if st.Truncated {
 		t.Fatalf("still truncated after reopen: %+v", st)
 	}
