@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test shuffle race bench bench-smoke bench-batch doctbench chaos chaos-soak noisy-soak sim sim-soak recovery-soak fuzz-smoke tcp-smoke wal-smoke check
+.PHONY: all vet build test shuffle race bench bench-smoke bench-batch doctbench doctbench-pair chaos chaos-soak noisy-soak sim sim-soak recovery-soak fuzz-smoke tcp-smoke wal-smoke check
 
 all: check
 
@@ -53,6 +53,17 @@ bench-smoke:
 # pass call the script directly: bash bench/run.sh -workload sim_closed -trace 1
 doctbench:
 	bash bench/run.sh
+
+# doctbench-pair judges a claimed gain the way the benchmark's driver does:
+# N alternating runs of one workload on BASE (a git ref, exported to a
+# temporary directory) and on the working tree, then per side the median and
+# quartiles of every end-to-end metric and the sum of failed operations.
+#   make doctbench-pair BASE=HEAD~1 W=sim_closed N=10
+BASE ?= HEAD
+W ?= sim_closed
+N ?= 10
+doctbench-pair:
+	bash scripts/doctbench-pair.sh $(BASE) $(W) $(N)
 
 # bench-batch reruns just the E13 batching sweep and prints the table —
 # the quick loop for tuning the coalescing knobs.

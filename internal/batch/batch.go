@@ -49,6 +49,16 @@ type Finalizer interface {
 	FinalizeFlush() any
 }
 
+// Rider marks a payload that may join a pending frame but must not open a
+// flush window of its own: with nothing pending it ships bare and does not
+// count as a departure, so the link stays idle for the next message. The
+// reliable layer's standalone ack is one — it leaves on a timer of its own,
+// at no fixed phase to the traffic it acknowledges, and a request that found
+// the link "hot" behind one waited out a flush window for nothing.
+type Rider interface {
+	RidesOnly()
+}
+
 // Frame is a batch of records bound for one peer. It implements the
 // fabric's Sizer, charging the exact binary-codec footprint.
 type Frame struct {

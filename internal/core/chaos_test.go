@@ -373,9 +373,11 @@ func TestChaosCrashRecovery(t *testing.T) {
 	testutil.WaitFor(t, "orphaned lock reclaim", func() bool {
 		return len(locks.HeldLocks(srvObj.SnapshotKV())) == 0
 	})
-	if n := sys.Metrics().Snapshot().Get(metrics.CtrLockReclaim); n == 0 {
-		t.Error("lock.reclaim counter is zero after a reclaim")
-	}
+	// The sweep counts the reclaim after the unlock routine returns, so the
+	// counter can trail the emptied lock table.
+	testutil.WaitFor(t, "lock.reclaim to count the reclaim", func() bool {
+		return sys.Metrics().Snapshot().Get(metrics.CtrLockReclaim) > 0
+	})
 
 	// Objects resident at the crashed node recover onto a survivor with
 	// their state.
@@ -417,6 +419,55 @@ func TestChaosCrashRecovery(t *testing.T) {
 	}
 	if res, err := h.WaitTimeout(waitShort); err != nil || len(res) != 1 || res[0] != "alive" {
 		t.Errorf("post-restart spawn = (%v, %v), want ([alive], nil)", res, err)
+	}
+}
+
+// TestChaosFanoutDeadRootReleasesRaiser covers the member root-routing
+// cannot reach: the fan-out tree is laid out from thread IDs alone, so a
+// member rooted on a crashed node is still assigned to that node. Once the
+// detector suspects it, the raiser adopts the dead child's slot on the spot;
+// the adopted post fails to locate the member and releases the synchronous
+// raiser with the error — well inside RaiseTimeout, not by it — and prunes
+// the member, so the next raise at the group is clean.
+func TestChaosFanoutDeadRootReleasesRaiser(t *testing.T) {
+	sys := newSystem(t, ftConfig(4))
+	var ctr perThreadCounter
+	if err := sys.RegisterProcs(map[string]ProcFunc{"fan": ctr.proc}); err != nil {
+		t.Fatal(err)
+	}
+	gid, members := fanoutGroup(t, sys, 4, "fan")
+
+	if err := sys.CrashNode(3); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitFor(t, "the raiser's node to suspect node 3", func() bool {
+		m, err := sys.MembershipAt(1)
+		return err == nil && len(m.Suspected) == 1 && m.Suspected[0] == 3
+	})
+
+	_, err := sys.RaiseAndWait(1, event.Interrupt, event.ToGroup(gid), nil)
+	if err == nil || errors.Is(err, ErrRaiseTimeout) {
+		t.Fatalf("RaiseAndWait err = %v, want the dead member's delivery error, not a timeout", err)
+	}
+	if !errors.Is(err, ErrThreadNotFound) && !errors.Is(err, ErrNodeDown) {
+		t.Errorf("RaiseAndWait err = %v, want ErrThreadNotFound/ErrNodeDown", err)
+	}
+	if adopts := sys.Metrics().Snapshot().Get(metrics.CtrFanoutAdopt); adopts == 0 {
+		t.Error("fanout.adopt is zero — the dead root's slot was never adopted")
+	}
+
+	// The failed post pruned the dead member: three members, three releases.
+	if _, err := sys.RaiseAndWait(1, event.Interrupt, event.ToGroup(gid), nil); err != nil {
+		t.Errorf("RaiseAndWait after the prune: %v", err)
+	}
+	for node, tid := range members {
+		want := int64(2)
+		if node == 3 {
+			want = 0
+		}
+		if n := ctr.of(tid); n != want {
+			t.Errorf("member on node %d ran the handler %d times across both raises, want %d", node, n, want)
+		}
 	}
 }
 

@@ -127,12 +127,14 @@ type Config struct {
 	Mode InvokeMode
 	// Locator selects the thread-location strategy (nil = PathFollow).
 	Locator locate.Strategy
-	// FanoutK is the arity of the spanning-tree fan-out used for group
-	// raises whose members span many nodes (deliver.go/fanout.go): the
-	// raiser ships one relay message per child instead of one event post
-	// per member, and relays re-batch down their subtrees. Zero picks
-	// DefaultFanoutK; negative disables the tree and every group raise
-	// unicasts to each member as before.
+	// FanoutK is the arity of the spanning-tree fan-out used for every
+	// group raise with a member rooted on another node
+	// (deliver.go/fanout.go): the raiser ships one relay message per child
+	// of a tree laid over the members' root nodes instead of locating and
+	// posting to each member, and relays re-batch down their subtrees. Zero
+	// picks DefaultFanoutK; negative disables the tree and every group
+	// raise posts member by member (the reference path E16 measures
+	// against).
 	FanoutK int
 	// CallTimeout bounds every kernel RPC (0 = 30s). It exists so broken
 	// protocols fail tests instead of hanging them.

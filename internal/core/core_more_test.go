@@ -870,4 +870,27 @@ func TestDroppedErrorsAreCounted(t *testing.T) {
 		t.Fatalf("%s = %d, %s = %d; want the lost write counted once under both",
 			metrics.CtrErrDropped, total, metrics.ErrDropped("kvset"), site)
 	}
+
+	// A release that overflows its waiter's buffer is lost, and so is one
+	// that cannot be sent to the raiser's node; neither has a caller to
+	// tell, so both must show here.
+	before := snap.Get(metrics.CtrErrDropped)
+	k := sys.kernels[1]
+	w := newSyncWaiter(77)
+	k.syncWait.put(w.id, w)
+	for i := 0; i <= syncReleaseBuf; i++ {
+		k.release(releaseReq{ID: w.id})
+	}
+	k.syncWait.drop(w.id)
+	w.recycle()
+	k.releaseRaiser(&event.Block{SyncID: 78, RaiserNode: 9}, event.VerdictResume, true, nil) // no node 9
+	snap = sys.Metrics().Snapshot()
+	for _, site := range []string{"release", "release_send"} {
+		if n := snap.Get(metrics.ErrDropped(site)); n != 1 {
+			t.Errorf("%s = %d, want 1", metrics.ErrDropped(site), n)
+		}
+	}
+	if total := snap.Get(metrics.CtrErrDropped); total != before+2 {
+		t.Errorf("%s rose by %d over the two lost releases, want 2", metrics.CtrErrDropped, total-before)
+	}
 }

@@ -56,7 +56,6 @@ func (k *Kernel) raiseAndWait(raiser *activation, name event.Name, target event.
 	k.wg.Add(1)
 	go func() {
 		defer k.wg.Done()
-		expect := 1
 		if eb.Target.Kind == event.TargetGroup {
 			members, err := k.groupMembers(eb.Target.Group)
 			if err == nil && len(members) == 0 {
@@ -67,12 +66,17 @@ func (k *Kernel) raiseAndWait(raiser *activation, name event.Name, target event.
 				k.release(releaseReq{ID: id, Err: err})
 				return
 			}
-			expect = len(members)
+			expectCh <- len(members)
+			// The membership that sized expect is the one fanned out to; a
+			// failed member post releases the raiser itself, so the error
+			// has nowhere else to go.
+			_ = k.raiseToGroup(eb, eb.Target.Group, members)
+			return
 		}
-		expectCh <- expect
+		expectCh <- 1
 		if err := k.route(eb); err != nil && eb.Target.Kind == event.TargetThread {
-			// Group and object routing already release per-recipient on
-			// failure; a failed thread post must do so here.
+			// Object routing already releases on failure; a failed thread
+			// post must do so here.
 			k.release(releaseReq{ID: id, Err: err})
 		}
 	}()
@@ -177,7 +181,11 @@ func (k *Kernel) route(eb *event.Block) error {
 	case event.TargetObject:
 		return k.raiseToObject(eb, eb.Target.Object)
 	case event.TargetGroup:
-		return k.raiseToGroup(eb, eb.Target.Group)
+		members, err := k.groupMembers(eb.Target.Group)
+		if err != nil {
+			return err
+		}
+		return k.raiseToGroup(eb, eb.Target.Group, members)
 	default:
 		return fmt.Errorf("core: unroutable target %v", eb.Target)
 	}
@@ -185,46 +193,60 @@ func (k *Kernel) route(eb *event.Block) error {
 
 // raiseToGroup fans the event out to every member (§5.3: "event posted to a
 // thread group will be sent to all the members of the group", after V
-// process groups).
-func (k *Kernel) raiseToGroup(eb *event.Block, gid ids.GroupID) error {
-	members, err := k.groupMembers(gid)
-	if err != nil {
-		return err
-	}
-	if k.sys.cfg.FanoutK >= 0 && len(members) >= fanoutMinNodes {
-		// Wide groups go down the spanning relay tree (fanout.go): one
-		// message per child instead of one per member. Delivery errors
-		// surface at the responsible relay — through releases for
-		// synchronous raises, death notices and pruning otherwise — so
-		// there is nothing to aggregate here.
-		if handled, terr := k.raiseToGroupTree(eb, gid, members); handled {
-			return terr
+// process groups). A group with a member rooted on another node goes down
+// the spanning relay tree (fanout.go): one message per child instead of a
+// probe and a post per member, with delivery errors surfacing at the
+// responsible relay. A group rooted entirely here, and every group when
+// FanoutK < 0 (the reference path E16 measures the tree against), is posted
+// member by member from this node: a one-node tree would deliver the same
+// way, allocate its layout for nothing (doctbench local_allocs_per_op 39.0
+// → 40.8 without this scan) and lose the caller the first member's error.
+func (k *Kernel) raiseToGroup(eb *event.Block, gid ids.GroupID, members []ids.ThreadID) error {
+	if k.sys.cfg.FanoutK >= 0 {
+		for _, tid := range members {
+			if tid.Root() != k.node {
+				k.raiseToGroupTree(eb, gid, members)
+				return nil
+			}
 		}
 	}
 	var firstErr error
 	for _, tid := range members {
-		m := eb.Clone()
-		m.Target = event.ToThread(tid)
-		if err := k.raiseToThread(m, tid); err != nil {
-			if eb.Sync {
-				// The waiter expects a release from this member; deliver a
-				// death notice instead of leaving it hanging.
-				k.releaseRaiser(m, 0, false, err)
-			}
-			if errors.Is(err, ErrThreadNotFound) || errors.Is(err, ErrNodeDown) {
-				// Garbage-collect the zombie membership (§7.2 warns that
-				// leaving trails of dead threads "creates garbage
-				// collection problems"): prune it so future group raises
-				// stop tripping over it. Members lost with a crashed node
-				// are pruned the same way once the detector flags it.
-				_ = k.groupJoin(gid, tid, true)
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("member %v: %w", tid, err)
-			}
+		if err := k.postToMember(eb, gid, tid); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("member %v: %w", tid, err)
 		}
 	}
 	return firstErr
+}
+
+// postToMember posts one member's clone of a group event. A member whose
+// TCB says Here is posted to directly; the locator is consulted only for
+// one that is, or has just moved, elsewhere. A synchronous raiser always
+// hears back — a failed post releases it with the error in place of the
+// member's handler — and a dead member is pruned from the group (§7.2 warns
+// that trails of dead threads "create garbage collection problems"; members
+// lost with a crashed node go the same way once the detector flags it).
+func (k *Kernel) postToMember(eb *event.Block, gid ids.GroupID, tid ids.ThreadID) error {
+	m := eb.Clone()
+	m.Target = event.ToThread(tid)
+	var err error
+	if tcb, ok := k.tcbs.Lookup(tid); ok && tcb.Here {
+		if err = k.postToThreadLocal(m); errors.Is(err, errThreadMoved) {
+			err = k.raiseToThread(m, tid) // it left between the look and the post
+		}
+	} else {
+		err = k.raiseToThread(m, tid)
+	}
+	if err == nil {
+		return nil
+	}
+	if m.Sync {
+		k.releaseRaiser(m, 0, false, err)
+	}
+	if errors.Is(err, ErrThreadNotFound) || errors.Is(err, ErrNodeDown) {
+		_ = k.groupJoin(gid, tid, true)
+	}
+	return err
 }
 
 // locateRetries bounds re-location when a thread moves between locate and
@@ -722,28 +744,35 @@ func (k *Kernel) systemActivation(obj *object.Object, attrs *thread.Attributes) 
 	return sa
 }
 
-// releaseRaiser wakes a raise_and_wait caller.
+// releaseRaiser wakes a raise_and_wait caller. A remote release is one-way:
+// nobody reads a reply, so the handler thread does not wait a round trip
+// for one. A release that cannot be sent — this node crashed, the raiser's
+// is suspected — is counted; the raiser is bounded by RaiseTimeout.
 func (k *Kernel) releaseRaiser(eb *event.Block, verdict event.Verdict, consumed bool, relErr error) {
 	rel := releaseReq{ID: eb.SyncID, Verdict: verdict, Consumed: consumed, Err: relErr}
-	if eb.RaiserNode == k.node {
+	to := eb.RaiserNode
+	switch {
+	case to == k.node:
 		k.release(rel)
-		return
-	}
-	// The release is fire-and-forget from the deliverer's perspective; a
-	// failed send means the system is closing.
-	if _, err := k.call(eb.RaiserNode, kindEvRelease, rel); err != nil {
-		return
+	case k.crashedLocal():
+		k.sys.dropErr("release_send", ErrNodeCrashed)
+	case k.det != nil && k.det.Suspected(to):
+		k.sys.dropErr("release_send", ErrNodeDown)
+	default:
+		k.sys.dropErr("release_send", k.netSend(to, kindEvRelease, rel))
 	}
 }
 
-// release hands a release to the local waiter.
+// errReleaseLost names a release dropped at a waiter whose buffer is full.
+var errReleaseLost = errors.New("core: release dropped, waiter buffer full")
+
+// release hands a release to the local waiter, if it is still waiting.
 func (k *Kernel) release(rel releaseReq) {
-	w := k.syncWait.get(rel.ID)
-	if w != nil {
+	if w := k.syncWait.get(rel.ID); w != nil {
 		select {
 		case w.ch <- rel:
 		default:
-			// Waiter already gave up (timeout); drop.
+			k.sys.dropErr("release", errReleaseLost)
 		}
 	}
 }

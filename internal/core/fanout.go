@@ -1,29 +1,31 @@
 package core
 
 // Spanning-tree fan-out for group raises (§5.3's "event posted to a
-// thread group will be sent to all the members of the group"). The
-// unicast path in raiseToGroup makes the raiser's node send one event
-// post per member — O(m) messages from one node, which is the group-raise
-// scaling wall at 256 nodes. When a group's members span enough distinct
-// nodes, the raiser instead resolves member residency once, builds a
-// deterministic k-ary relay tree over those nodes (transport.TreeOrder /
-// TreeChildren), and ships each child ONE fanoutReq carrying the whole
-// assignment; relays deliver their local members and re-batch the request
-// down their subtrees. Total physical messages stay ~n-1, but no node
-// sends more than K of them, and depth is ⌈log_K n⌉.
+// thread group will be sent to all the members of the group"). Posting
+// member by member costs the raiser's node a locate and a post per member,
+// one after the other — O(m) exchanges from one node, which is both the
+// group-raise scaling wall at 256 nodes and most of a small group's
+// latency. Instead the raiser lays a deterministic k-ary relay tree
+// (transport.TreeOrder / TreeChildren) over the members' ROOT nodes — the
+// thread ID names the root (§7.1), so the layout costs no message — and
+// ships each child ONE fanoutReq carrying the whole assignment; relays post
+// their assigned members and re-batch the request down their subtrees. A
+// member still at its root (its TCB says Here) is posted to directly; only
+// one that invoked away is chased with the locator, from its root relay
+// and off the raiser's serial path. Total physical messages stay ~n-1, no
+// node sends more than K of them, and depth is ⌈log_K n⌉.
 //
 // Fault tolerance: a relay that finds a child suspected adopts the
 // child's subtree on the spot (delivers its members, relays to its
 // children), and a reliable-layer dead letter for a fanout message
 // triggers the same adoption after the fact — so a relay crashing
-// mid-broadcast orphans nobody. Member-level failures reuse the unicast
-// path's machinery: synchronous raisers get a release with the error from
-// whichever relay failed, zombie members are pruned from the group.
-// Duplicated adoption (send succeeded but looked dead) is absorbed by a
-// per-node dedup window keyed (Root, ID).
+// mid-broadcast orphans nobody. Member-level failures reuse the
+// member-by-member path's machinery (postToMember): synchronous raisers
+// get a release with the error from whichever relay failed, zombie members
+// are pruned from the group. Duplicated adoption (send succeeded but looked
+// dead) is absorbed by a per-node dedup window keyed (Root, ID).
 
 import (
-	"errors"
 	"sync"
 
 	"repro/internal/event"
@@ -38,11 +40,6 @@ const kindFanout = "k.fanout"
 
 // DefaultFanoutK is the relay tree arity when Config.FanoutK is zero.
 const DefaultFanoutK = 4
-
-// fanoutMinNodes is the minimum number of distinct member-hosting nodes
-// (including the raiser's) before a group raise uses the tree: below it,
-// the tree is pure overhead over a couple of unicast posts.
-const fanoutMinNodes = 4
 
 // fanoutDedupWindow bounds the per-node window of recently seen fanout
 // identities used to drop duplicate deliveries after an adoption race.
@@ -63,8 +60,8 @@ type fanoutReq struct {
 	// EB is the event block as the root stamped it; relays clone it per
 	// member delivery.
 	EB *event.Block
-	// Nodes is the tree layout; Assign[i] lists the member threads
-	// resident at Nodes[i] when the root resolved the group.
+	// Nodes is the tree layout; Assign[i] lists the member threads rooted
+	// at Nodes[i].
 	Nodes  []ids.NodeID
 	Assign [][]ids.ThreadID
 }
@@ -119,29 +116,13 @@ func (k *Kernel) fanoutK() int {
 	return fk
 }
 
-// raiseToGroupTree attempts the spanning-tree fan-out. It reports handled
-// = false when the member set is too concentrated for the tree to pay
-// (the caller falls back to unicast posts). Members that fail to resolve
-// are handled exactly as on the unicast path.
-func (k *Kernel) raiseToGroupTree(eb *event.Block, gid ids.GroupID, members []ids.ThreadID) (bool, error) {
+// raiseToGroupTree fans the event out down a relay tree laid over the
+// members' root nodes, with this node as the tree's root.
+func (k *Kernel) raiseToGroupTree(eb *event.Block, gid ids.GroupID, members []ids.ThreadID) {
 	assign := make(map[ids.NodeID][]ids.ThreadID, len(members))
-	var unresolved []ids.ThreadID
 	for _, tid := range members {
-		node, err := k.sys.cfg.Locator.Locate(k, tid)
-		if err != nil {
-			unresolved = append(unresolved, tid)
-			continue
-		}
-		assign[node] = append(assign[node], tid)
+		assign[tid.Root()] = append(assign[tid.Root()], tid)
 	}
-	distinct := len(assign)
-	if _, selfHosts := assign[k.node]; !selfHosts {
-		distinct++ // the root participates in the tree regardless
-	}
-	if distinct < fanoutMinNodes {
-		return false, nil
-	}
-
 	nodes := make([]ids.NodeID, 0, len(assign))
 	for n := range assign {
 		nodes = append(nodes, n)
@@ -160,16 +141,8 @@ func (k *Kernel) raiseToGroupTree(eb *event.Block, gid ids.GroupID, members []id
 		req.Assign[i] = assign[n]
 	}
 	k.fanoutSeen.firstTime(fanoutKey{root: req.Root, id: req.ID})
-
-	// Members the locator could not place at all go through the unicast
-	// path's full retry-and-release machinery rather than silently
-	// dropping out of the tree.
-	for _, tid := range unresolved {
-		k.fanoutDeliverOne(req, tid)
-	}
 	k.fanoutRelay(req, 0)
 	k.fanoutDeliverLocal(req, 0)
-	return true, nil
 }
 
 // serveFanout handles one received relay step: deliver the members
@@ -227,27 +200,11 @@ func (k *Kernel) adoptFanoutSubtree(req *fanoutReq, idx int) {
 
 // fanoutDeliverLocal posts the members assigned to the node at idx. Note
 // idx is the assignment slot, not necessarily this node's slot: during
-// adoption a relay delivers on a dead child's behalf, and raiseToThread
-// re-locates each member wherever it actually is now.
+// adoption a relay delivers on a dead child's behalf, and postToMember
+// locates each member wherever it actually is now.
 func (k *Kernel) fanoutDeliverLocal(req *fanoutReq, idx int) {
 	for _, tid := range req.Assign[idx] {
-		k.fanoutDeliverOne(req, tid)
-	}
-}
-
-// fanoutDeliverOne posts one member's clone of the event, mirroring the
-// unicast group-raise path: a synchronous raiser always hears back (a
-// release carries the delivery error if there was one) and dead members
-// are pruned from the group.
-func (k *Kernel) fanoutDeliverOne(req *fanoutReq, tid ids.ThreadID) {
-	m := req.EB.Clone()
-	m.Target = event.ToThread(tid)
-	if err := k.raiseToThread(m, tid); err != nil {
-		if m.Sync {
-			k.releaseRaiser(m, 0, false, err)
-		}
-		if errors.Is(err, ErrThreadNotFound) || errors.Is(err, ErrNodeDown) {
-			_ = k.groupJoin(req.GID, tid, true)
-		}
+		// A failed post has already released the raiser and pruned the member.
+		_ = k.postToMember(req.EB, req.GID, tid)
 	}
 }

@@ -137,7 +137,12 @@ func (k *Kernel) initFT() {
 // An undeliverable fan-out relay step re-parents the dead child's
 // subtree here (fanout.go): its members and grandchildren are served by
 // this node instead of being orphaned mid-broadcast.
-func (k *Kernel) deadLetter(to ids.NodeID, kind string, payload any, _ error) {
+func (k *Kernel) deadLetter(to ids.NodeID, kind string, payload any, err error) {
+	if kind == kindEvRelease {
+		// One-way, so no waiter to fail: the raiser runs into RaiseTimeout.
+		k.sys.dropErr("release_send", err)
+		return
+	}
 	if kind == kindFanout {
 		req, ok := payload.(*fanoutReq)
 		if !ok {

@@ -184,7 +184,7 @@ func newSyncWaiter(id uint64) *syncWaiter {
 // removed it from the sync table.
 func (w *syncWaiter) recycle() { syncWaiterPool.Put(w) }
 
-// releaseReq releases a synchronous raiser (kindEvRelease).
+// releaseReq releases a synchronous raiser (kindEvRelease, one-way).
 type releaseReq struct {
 	ID       uint64
 	Verdict  event.Verdict
@@ -324,6 +324,11 @@ func (k *Kernel) dispatchNet(from ids.NodeID, kind string, payload any) {
 			return
 		}
 		k.dir.apply(u)
+	case kindEvRelease:
+		// One-way, and release never blocks: served on the dispatch goroutine.
+		if rel, ok := payload.(releaseReq); ok {
+			k.release(rel)
+		}
 	case kindFanout:
 		req, ok := payload.(*fanoutReq)
 		if !ok {
@@ -438,14 +443,6 @@ func (k *Kernel) serve(from ids.NodeID, kind string, body any) (any, error) {
 			return nil, fmt.Errorf("core: ev.object payload %T", body)
 		}
 		return k.serveObjectEvent(req)
-
-	case kindEvRelease:
-		rel, ok := body.(releaseReq)
-		if !ok {
-			return nil, fmt.Errorf("core: release payload %T", body)
-		}
-		k.release(rel)
-		return nil, nil
 
 	case kindAbortChain:
 		req, ok := body.(abortReq)

@@ -10,8 +10,8 @@ package core
 //     plumbing, and events raised by the kernel itself (no raiser
 //     thread). Never queued behind tenant work, never shed.
 //   - ClassControl (254): termination and abort control — TERMINATE,
-//     ABORT, QUIT, THREAD_DEATH blocks, release replies and abort-chain
-//     RPCs. A flooded tenant must still be killable. Never shed.
+//     ABORT, QUIT, THREAD_DEATH blocks, releases and abort-chain RPCs. A
+//     flooded tenant must still be killable. Never shed.
 //   - Tenant classes (1..253) + ClassDefault (0): application raises,
 //     mapped from the raising thread's App attribute via QoS.Apps and
 //     scheduled by weighted DWRR with bounded admission.
@@ -90,6 +90,10 @@ func msgClass(kind string, payload any) transport.Class {
 		if req, ok := payload.(*fanoutReq); ok {
 			return classOfBlock(req.EB)
 		}
+	case kindEvRelease:
+		// A release unblocks a synchronous raiser: control, never
+		// tenant-shed.
+		return transport.ClassControl
 	}
 	return transport.ClassSystem
 }
@@ -109,9 +113,8 @@ func rpcClass(kind string, body any) transport.Class {
 		if req, ok := body.(handlerRunReq); ok {
 			return classOfBlock(req.EB)
 		}
-	case kindEvRelease, kindAbortChain:
-		// Release replies unblock synchronous raisers and abort chains
-		// tear threads down; both are control, never tenant-shed.
+	case kindAbortChain:
+		// Abort chains tear threads down: control, never tenant-shed.
 		return transport.ClassControl
 	}
 	return transport.ClassSystem

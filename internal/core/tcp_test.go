@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/object"
 	"repro/internal/testutil"
 	"repro/internal/transport/tcptransport"
@@ -237,5 +238,40 @@ func TestTCPClusterRPCInvoke(t *testing.T) {
 	}
 	if len(res) != 1 || res[0] != "echo:hi" {
 		t.Fatalf("invoke over TCP returned %v, want [echo:hi]", res)
+	}
+}
+
+// TestTCPClusterGroupRaise raises synchronously from node 1 at a group of 8
+// whose members all live on node 2, over real sockets. The raiser's node
+// makes two reliable sends — the membership request and ONE k.fanout
+// carrying all eight assignments — and the peer answers with the membership
+// and eight one-way releases (through the wire codec as top-level
+// payloads); no member is probed or posted to individually.
+func TestTCPClusterGroupRaise(t *testing.T) {
+	c := bootTCPCluster(t, 2)
+	var ctr perThreadCounter
+	if err := c.sys[2].RegisterProcs(map[string]ProcFunc{"fan": ctr.proc}); err != nil {
+		t.Fatal(err)
+	}
+	gid, tids := fanoutGroupAt(t, c.sys[2], []ids.NodeID{2, 2, 2, 2, 2, 2, 2, 2}, "fan")
+
+	sent := func(node ids.NodeID) int64 { return c.sys[node].Metrics().Snapshot().Get(metrics.CtrRelSend) }
+	before1, before2 := sent(1), sent(2)
+	if _, err := c.sys[1].RaiseAndWait(1, event.Interrupt, event.ToGroup(gid), nil); err != nil {
+		t.Fatalf("group RaiseAndWait over TCP: %v", err)
+	}
+	for _, tid := range tids {
+		if n := ctr.of(tid); n != 1 {
+			t.Errorf("member %v ran the handler %d times, want exactly 1", tid, n)
+		}
+	}
+	if relays := c.sys[1].Metrics().Snapshot().Get(metrics.CtrFanoutRelay); relays != 1 {
+		t.Errorf("fanout.relay = %d, want 1 k.fanout for the whole group", relays)
+	}
+	if got := sent(1) - before1; got != 2 {
+		t.Errorf("node 1 made %d reliable sends, want 2 (membership request, k.fanout)", got)
+	}
+	if got := sent(2) - before2; got != 9 {
+		t.Errorf("node 2 made %d reliable sends, want 9 (membership reply, 8 releases)", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/reliable"
 	"repro/internal/thread"
+	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
 
@@ -47,6 +48,12 @@ func codecSamples() map[string]any {
 		},
 		"releaseReq": releaseReq{
 			ID: 4, Verdict: event.VerdictResume, Consumed: true, Err: ErrUnhandledSync,
+		},
+		// A release crosses the wire one-way: the payload of a reliable
+		// envelope, not the body of an rpcRequest.
+		"releaseOneWay": reliable.Envelope{
+			Seq: 3, Gen: 1, Kind: kindEvRelease, AckCum: 2, Size: 40,
+			Payload: releaseReq{ID: 4, Verdict: event.VerdictTerminate, Consumed: true, Err: ErrThreadNotFound},
 		},
 		"invokeReq": invokeReq{
 			TID:   ids.NewThreadID(1, 7),
@@ -211,6 +218,36 @@ func TestCoreSentinelsCrossWire(t *testing.T) {
 		}
 		if got != error(sentinel) {
 			t.Errorf("sentinel %v did not survive as identity: %#v", sentinel, got)
+		}
+	}
+}
+
+// TestMsgClass pins the transport class of each kind of kernel message:
+// event-bearing messages carry their block's class, releases and abort
+// chains are control (a flooded tenant must still be releasable and
+// killable), and everything else is system plumbing.
+func TestMsgClass(t *testing.T) {
+	tenant := &event.Block{Name: event.Interrupt, Class: 7}
+	rpc := func(kind string, body any) rpcRequest { return rpcRequest{Kind: kind, Body: body} }
+	for _, tc := range []struct {
+		kind    string
+		payload any
+		want    transport.Class
+	}{
+		{kindEvRelease, releaseReq{ID: 1}, transport.ClassControl},
+		{kindFanout, &fanoutReq{EB: tenant}, 7},
+		{msgRPCReq, rpc(kindEvThread, tenant), 7},
+		{msgRPCReq, rpc(kindEvObject, objectEventReq{EB: tenant}), 7},
+		{msgRPCReq, rpc(kindHandlerRun, handlerRunReq{EB: tenant}), 7},
+		{msgRPCReq, rpc(kindEvThread, &event.Block{Name: event.Terminate}), transport.ClassControl},
+		{msgRPCReq, rpc(kindAbortChain, abortReq{}), transport.ClassControl},
+		{msgRPCReq, rpc(kindGroupMembers, ids.GroupID(1)), transport.ClassSystem},
+		{msgRPCReq, rpc(kindProbe, ids.NewThreadID(1, 1)), transport.ClassSystem},
+		{msgRPCRsp, rpcResponse{ID: 1}, transport.ClassSystem},
+		{kindDirUpdate, dirUpdate{}, transport.ClassSystem},
+	} {
+		if got := msgClass(tc.kind, tc.payload); got != tc.want {
+			t.Errorf("msgClass(%s, %T) = %v, want %v", tc.kind, tc.payload, got, tc.want)
 		}
 	}
 }

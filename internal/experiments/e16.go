@@ -22,8 +22,9 @@ import (
 // group-raise workload at n ∈ {8..256} under two configurations:
 //
 //	unicast: cached+broadcast locate, tree fan-out disabled (the seed)
-//	tree:    cached+hash locate (consistent-hash residency directory),
-//	         spanning-tree relay fan-out (FanoutK default)
+//	tree:    spanning-tree relay fan-out routed by thread root (FanoutK
+//	         default); cached+hash locate (consistent-hash residency
+//	         directory) for any member away from its root
 //
 // and reports total physical messages per raise, the peak single-node
 // send burst per raise, and delivered-events/sec for both. The scaling
@@ -77,8 +78,8 @@ func RunE16(sizes []int) Table {
 	}
 	t.Notes = append(t.Notes,
 		"workload: a group with one member thread per node; the raiser on node 1 raises async interrupts to the group and waits for every member's handler.",
-		"tree = cached+hash locate (consistent-hash residency directory) + spanning-tree relay fan-out (K=4); uni = the seed path, cached+broadcast locate + one post per member from the raiser.",
-		"msgs/raise amortizes the cold locate storm over the raise count — broadcast locate costs O(n) messages per member once, the hash directory O(1).",
+		"tree = spanning-tree relay fan-out (K=4) laid out over the members' root nodes — the thread IDs name them, so the raiser locates nobody and a relay posts straight to a member still at its root; the cached+hash locator is configured but only a member away from its root would consult it. uni = the seed path, cached+broadcast locate + one post per member from the raiser (FanoutK = -1).",
+		"msgs/raise amortizes uni's cold locate storm over the raise count — broadcast locate costs O(n) messages per member once; the tree has no cold phase beyond the hash directory's residency publishes.",
 		"peak node/raise is the largest single-node physical send count per raise: the raiser bears n-1 under unicast, ~K under the relay tree; peak reduction = uni/tree, the gated load-spread claim.",
 		"FT is off so the counters carry only workload traffic (doctbench's failure.msgs_per_s prices detector traffic separately).",
 	)

@@ -153,14 +153,26 @@ func terminationRun(workers, nodes int, useProtocol bool) (orphans int, objectsN
 	cleanup := ctrlc.CleanupHandler(func(_ object.Ctx, _ ids.ThreadID) { notified.Add(1) })
 
 	started := make(chan ids.ThreadID, 1)
-	var ready atomic.Int64
+	var ready, quit atomic.Int64
 	deep, err := sys.CreateObject(ids.NodeID(nodes), object.Spec{
 		Name:     "deep",
 		Handlers: map[event.Name]object.Handler{event.Abort: cleanup},
 		Entries: map[string]object.Entry{
 			"dwell": func(ctx object.Ctx, _ []any) ([]any, error) {
 				ready.Add(1)
-				return nil, ctx.Sleep(time.Hour)
+				err := ctx.Sleep(time.Hour)
+				// The QUIT fan-out chases this very thread while the abort
+				// unwinds it: how far the unwind has got when the root's
+				// relay looks decides whether the chase costs a probe and
+				// a post or nothing. Hold the aborted invocation here
+				// until QUIT has swept the workers — the relay posts in
+				// thread-ID order and the root, spawned first, has the
+				// lowest — so msgs always counts the whole chase.
+				for deadline := time.Now().Add(time.Second); useProtocol &&
+					quit.Load() < int64(workers) && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				return nil, err
 			},
 		},
 	})
@@ -189,7 +201,11 @@ func terminationRun(workers, nodes int, useProtocol bool) (orphans int, objectsN
 			},
 			"worker": func(ctx object.Ctx, _ []any) ([]any, error) {
 				ready.Add(1)
-				return nil, ctx.Sleep(600 * time.Millisecond)
+				err := ctx.Sleep(600 * time.Millisecond)
+				if err != nil {
+					quit.Add(1)
+				}
+				return nil, err
 			},
 		},
 	})

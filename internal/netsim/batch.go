@@ -7,7 +7,9 @@ package netsim
 // expires. An idle link stays fast — the first message after a quiet
 // window ships bare, paying neither framing bytes nor flush latency — so
 // coalescing only engages at the sustained rates where per-message
-// overhead dominates (E12/E13).
+// overhead dominates (E12/E13). A batch.Rider (a standalone ack) joins a
+// pending frame but never makes a link hot: alone it ships bare and the
+// window stays as it was.
 //
 // FIFO: every post for a link — bare sends, size flushes, timer flushes —
 // happens under that link's lock, and a frame lands on the same
@@ -169,11 +171,15 @@ func (f *Fabric) batchSend(ep *endpoint, m Message, severed bool) {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
 	now := f.clk.Now()
-	if lb.pending == nil && now.Sub(lb.lastFlush) >= f.bat.interval {
+	_, rider := m.Payload.(batch.Rider)
+	if lb.pending == nil && (rider || now.Sub(lb.lastFlush) >= f.bat.interval) {
 		// Idle link: nothing pending and the flush window has passed since
 		// the last departure. Ship bare — no framing bytes, no added
-		// latency — and let the window start over.
-		lb.lastFlush = now
+		// latency — and let the window start over. A rider with no frame
+		// to join ships bare too, but leaves the window as it was.
+		if !rider {
+			lb.lastFlush = now
+		}
 		f.bat.ctrSolo.Add(1)
 		f.post(ep, m, severed)
 		return

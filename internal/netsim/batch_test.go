@@ -207,3 +207,61 @@ func TestBatchSendZeroAllocs(t *testing.T) {
 		t.Fatalf("batched Send allocates %.1f objects/op on the warm path, want 0", allocs)
 	}
 }
+
+type riderPayload int
+
+func (riderPayload) RidesOnly() {}
+
+// A batch.Rider (the reliable layer's standalone ack) ships bare when
+// nothing is pending and does not count as a departure — the message after
+// it still finds the link idle — and joins a pending frame when there is
+// one. Counts, not times: the window is an hour, the frame flushes on size.
+func TestBatchRiderDoesNotOpenWindow(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		got []any
+	)
+	f := New(Config{Batch: BatchConfig{Enabled: true, MaxMsgs: 2, FlushInterval: time.Hour}})
+	if err := f.Attach(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	h := func(m Message) {
+		mu.Lock()
+		got = append(got, m.Payload)
+		mu.Unlock()
+	}
+	if err := f.Attach(2, h); err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Close(context.Background())
+
+	sent := []any{
+		riderPayload(1), // idle link: bare, window untouched
+		"d1",            // still idle: bare, opens the window
+		riderPayload(2), // window open, nothing pending: bare all the same
+		"d2",            // inside the window: starts a frame
+		riderPayload(3), // rides the frame and fills it
+	}
+	for _, p := range sent {
+		if err := f.Send(Message{From: 1, To: 2, Kind: "k", Payload: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testutil.WaitFor(t, "all five delivered", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == len(sent)
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for i := range sent {
+		if got[i] != sent[i] {
+			t.Fatalf("delivery %d = %v, want %v (order %v)", i, got[i], sent[i], got)
+		}
+	}
+	snap := f.Metrics().Snapshot()
+	if solo, frames, recs := snap.Get(metrics.CtrBatchSolo), snap.Get(metrics.CtrBatchFrames), snap.Get(metrics.CtrBatchRecs); solo != 3 || frames != 1 || recs != 2 {
+		t.Fatalf("batch.solo %d, batch.frames %d, batch.recs %d; want 3, 1, 2", solo, frames, recs)
+	}
+}

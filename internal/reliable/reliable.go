@@ -188,6 +188,10 @@ type Ack struct {
 // WireSize charges a minimal ack frame (two seq fields + header).
 func (Ack) WireSize() int { return 20 }
 
+// RidesOnly implements batch.Rider: a standalone ack joins a pending frame
+// or ships bare, and never makes its link look busy to the next request.
+func (Ack) RidesOnly() {}
+
 // SendFunc transmits one raw fabric message (typically Fabric.Send).
 type SendFunc func(netsim.Message) error
 
