@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test shuffle race bench bench-smoke bench-batch doctbench doctbench-pair chaos chaos-soak noisy-soak sim sim-soak recovery-soak fuzz-smoke tcp-smoke wal-smoke check
+.PHONY: all vet build test shuffle race bench bench-smoke bench-batch doctbench doctbench-pair chaos chaos-soak noisy-soak sim sim-soak recovery-soak fuzz-smoke tcp-smoke wal-smoke loc lint-imports check
 
 all: check
 
@@ -152,5 +152,20 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzWALRoundTrip -fuzztime 10s ./internal/wal/
 	$(GO) test -fuzz FuzzWALTornTail -fuzztime 10s ./internal/wal/
 	$(GO) test -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/transport/wire/
+	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport/tcptransport/
+	$(GO) test -fuzz FuzzHello -fuzztime 10s ./internal/transport/tcptransport/
 
-check: vet build test shuffle race chaos sim
+# loc prints the size figures ROADMAP tracks — non-test Go lines outside
+# bench/ per package and in total, the transport layer's share, and the
+# TestOptionSurface field count — so every simplicity PR quotes one command.
+loc:
+	bash scripts/loc.sh
+
+# lint-imports keeps the transport seam closed: internal/reliable and
+# internal/transport (the interface, the node pipeline, the codec) may not
+# import a fabric, and in internal/core only core.go — the default-fabric
+# constructor — may import netsim.
+lint-imports:
+	bash scripts/lint-imports.sh
+
+check: vet lint-imports build test shuffle race chaos sim loc

@@ -238,6 +238,11 @@ func (c *Config) fillDefaults() error {
 	} else if c.DispatchWorkers < 0 {
 		c.DispatchWorkers = 1
 	}
+	if c.Wire.FlushInterval <= 0 {
+		// Resolved here, not in the fabric, because the reliable layer's
+		// retry base is derived from it (fault.go) on any batching transport.
+		c.Wire.FlushInterval = netsim.DefaultFlushInterval
+	}
 	if len(c.LocalNodes) == 0 {
 		c.LocalNodes = make([]ids.NodeID, c.Nodes)
 		for i := range c.LocalNodes {

@@ -33,9 +33,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ids"
-	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/reliable"
+	"repro/internal/transport"
 	"repro/internal/transport/wire"
 	"repro/internal/wal"
 )
@@ -556,7 +556,7 @@ func replayState(dir string, self ids.NodeID) (*recoveredState, wal.Stats, error
 		deleted: make(map[string]bool),
 	}
 	merge := reliable.New(reliable.Config{}, self,
-		func(netsim.Message) error { return nil },
+		func(transport.Message) error { return nil },
 		func(ids.NodeID, string, any) {}, nil)
 	defer merge.Close()
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/locate"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/reliable"
 	"repro/internal/transport"
 )
@@ -77,7 +76,7 @@ func (k *Kernel) initFT() {
 	}, k.node, peers)
 	k.det.SetGossipSend(func(to ids.NodeID, payload []byte) {
 		// A lost probe is the protocol's own business: it repeats next period.
-		_ = k.sys.fabric.Send(netsim.Message{From: k.node, To: to, Kind: kindGossip, Payload: gossipFrame{Data: payload}, Class: transport.ClassSystem})
+		_ = k.sys.fabric.Send(transport.Message{From: k.node, To: to, Kind: kindGossip, Payload: gossipFrame{Data: payload}, Class: transport.ClassSystem})
 	})
 	k.det.Subscribe(func(ev failure.Event) { k.sys.onMembershipEvent(k, ev) })
 
@@ -87,11 +86,7 @@ func (k *Kernel) initFT() {
 	// coalesced envelope reads as a loss. An explicit RetryBase is honored.
 	retryBase := ft.RetryBase
 	if retryBase == 0 && k.sys.batching() {
-		fi := wire.FlushInterval
-		if fi <= 0 {
-			fi = netsim.DefaultFlushInterval
-		}
-		retryBase = reliable.DefaultRetryBase + 2*fi
+		retryBase = reliable.DefaultRetryBase + 2*wire.FlushInterval
 	}
 	relCfg := reliable.Config{
 		RetryBase:  retryBase,
@@ -551,19 +546,5 @@ func (s *System) directedInjector() transport.DirectedFaultInjector {
 func (s *System) SetDropRateDirected(from, to ids.NodeID, rate float64) {
 	if fi := s.directedInjector(); fi != nil {
 		fi.SetDropRateDirected(from, to, rate)
-	}
-}
-
-// CutLinkDirected severs the directed fabric link from → to.
-func (s *System) CutLinkDirected(from, to ids.NodeID) {
-	if fi := s.directedInjector(); fi != nil {
-		fi.CutLinkDirected(from, to)
-	}
-}
-
-// HealLinkDirected restores the directed fabric link from → to.
-func (s *System) HealLinkDirected(from, to ids.NodeID) {
-	if fi := s.directedInjector(); fi != nil {
-		fi.HealLinkDirected(from, to)
 	}
 }

@@ -14,11 +14,11 @@ import (
 	"repro/internal/ids"
 	"repro/internal/locate"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/reliable"
 	"repro/internal/thread"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // Kernel protocol message kinds (beyond the dsm.* family).
@@ -73,7 +73,7 @@ func (r rpcResponse) WireSize() int { return 32 + payloadSize(r.Body) }
 
 // payloadSize delegates to the fabric's canonical estimator so every layer
 // charges nested payloads identically.
-func payloadSize(p any) int { return netsim.PayloadSize(p) }
+func payloadSize(p any) int { return transport.PayloadSize(p) }
 
 // Kernel is one node's DO/CT kernel.
 type Kernel struct {
@@ -258,7 +258,7 @@ func (k *Kernel) shutdown() {
 // runs on its own goroutine (kernel requests may issue nested calls).
 // Gossip probes bypass the reliable layer (they are periodic and self-
 // correcting); everything else is unwrapped by it when FT is enabled.
-func (k *Kernel) onMessage(m netsim.Message) {
+func (k *Kernel) onMessage(m transport.Message) {
 	if k.crashedLocal() {
 		// A message already in the inbox when the node crashed: lost with
 		// the node.
@@ -360,7 +360,7 @@ func (k *Kernel) netSend(to ids.NodeID, kind string, payload any) error {
 	if k.rel != nil {
 		return k.rel.SendClass(to, kind, payload, class)
 	}
-	return k.sys.fabric.Send(netsim.Message{From: k.node, To: to, Kind: kind, Payload: payload, Class: class})
+	return k.sys.fabric.Send(transport.Message{From: k.node, To: to, Kind: kind, Payload: payload, Class: class})
 }
 
 // call performs a synchronous kernel RPC to another node.

@@ -11,6 +11,13 @@
 // shared copy; writes invalidate the copyset and transfer ownership —
 // single-writer/multiple-reader, which yields sequential consistency.
 //
+// A grant (the reply to a fault) and a revocation (degrade, take,
+// invalidate) travel separately, so the directory numbers the grants it
+// issues to each node and stamps every revocation with the count: a node
+// applies a revocation only after it has installed the grants that
+// preceded it. Without that, the next writer's take could reach a new
+// owner before the page it was just granted, and the write was lost.
+//
 // Segments may instead be flagged user-paged (§6.4): the kernel coherence
 // protocol is bypassed and faults are surfaced to a user-level virtual
 // memory manager through the UserFaultFunc hook, which the kernel wires to
@@ -102,6 +109,15 @@ type dirEntry struct {
 	mu      sync.Mutex
 	owner   ids.NodeID
 	copyset map[ids.NodeID]bool
+	// grants counts the fault replies issued to each node for this page.
+	grants map[ids.NodeID]uint64
+}
+
+// grant numbers the reply to a fault the directory has just serviced for
+// node. Caller holds de.mu.
+func (de *dirEntry) grant(node ids.NodeID, data []byte) PageReply {
+	de.grants[node]++
+	return PageReply{Data: data, Grant: de.grants[node]}
 }
 
 // segment is a manager's record of one segment: directory state if this
@@ -112,6 +128,61 @@ type segment struct {
 
 	mu    sync.Mutex
 	cache map[int]*cachedPage
+	// faulting marks the pages this node has a fault outstanding on — one
+	// per page; a second local faulter waits for the first. installed is
+	// the number of the last grant applied to the cache. settled (on mu)
+	// wakes local faulters and waiting revocations when a fault ends.
+	faulting  map[int]bool
+	installed map[int]uint64
+	settled   *sync.Cond
+}
+
+func newSegment(meta Meta) *segment {
+	seg := &segment{
+		meta:      meta,
+		cache:     make(map[int]*cachedPage),
+		faulting:  make(map[int]bool),
+		installed: make(map[int]uint64),
+	}
+	seg.settled = sync.NewCond(&seg.mu)
+	return seg
+}
+
+// claimFault returns the cached page if it is usable, else claims the
+// page's fault slot — after any fault another local thread has in flight
+// on it — and returns nil. Caller holds seg.mu.
+func (seg *segment) claimFault(page int, usable func(*cachedPage) bool) *cachedPage {
+	for {
+		if cp, ok := seg.cache[page]; ok && usable(cp) {
+			return cp
+		}
+		if !seg.faulting[page] {
+			seg.faulting[page] = true
+			return nil
+		}
+		seg.settled.Wait()
+	}
+}
+
+// settle ends this node's fault on page, recording the grant it installed
+// (0 when the fault failed). Caller holds seg.mu.
+func (seg *segment) settle(page int, grant uint64) {
+	delete(seg.faulting, page)
+	if grant > seg.installed[page] {
+		seg.installed[page] = grant
+	}
+	seg.settled.Broadcast()
+}
+
+// awaitGrants blocks a revocation stamped with grants until this node has
+// installed that many: the reply it overtook is on its way to the fault
+// that is outstanding. With no fault outstanding the missing grant was
+// lost (a timed-out call, a restart) and waiting would never end. Caller
+// holds seg.mu.
+func (seg *segment) awaitGrants(page int, grants uint64) {
+	for seg.installed[page] < grants && seg.faulting[page] {
+		seg.settled.Wait()
+	}
 }
 
 type cachedPage struct {
@@ -124,15 +195,24 @@ type cachedPage struct {
 // MetaReq asks the home for segment metadata.
 type MetaReq struct{ Seg ids.SegmentID }
 
-// PageReq asks the home to service a read or write fault.
+// PageReq asks the home to service a read or write fault, or — sent by
+// the home — revokes the receiver's copy on behalf of faulting node From.
 type PageReq struct {
 	Seg  ids.SegmentID
 	Page int
 	From ids.NodeID
+	// Grants, on a revocation, is how many grants the directory has issued
+	// to the receiver for this page; the receiver installs them first.
+	Grants uint64
 }
 
 // PageReply returns page data (nil when the requester's copy is usable).
-type PageReply struct{ Data []byte }
+type PageReply struct {
+	Data []byte
+	// Grant numbers this reply among the grants issued to the requester
+	// for the page (0 on a revocation's reply).
+	Grant uint64
+}
 
 // WireSize charges the actual page payload.
 func (r PageReply) WireSize() int { return 16 + len(r.Data) }
@@ -198,11 +278,11 @@ func (m *Manager) CreateSegment(id ids.SegmentID, size int, userPaged bool) (Met
 		return Meta{}, fmt.Errorf("dsm: invalid segment size %d", size)
 	}
 	meta := Meta{ID: id, Size: size, PageSize: m.pageSize, UserPaged: userPaged}
-	seg := &segment{meta: meta, cache: make(map[int]*cachedPage)}
+	seg := newSegment(meta)
 	if !userPaged {
 		seg.dir = make([]*dirEntry, meta.Pages())
 		for i := range seg.dir {
-			seg.dir[i] = &dirEntry{owner: m.node, copyset: map[ids.NodeID]bool{}}
+			seg.dir[i] = &dirEntry{owner: m.node, copyset: map[ids.NodeID]bool{}, grants: map[ids.NodeID]uint64{}}
 		}
 		// Home starts with every page cached exclusive and zeroed.
 		for i := 0; i < meta.Pages(); i++ {
@@ -238,7 +318,7 @@ func (m *Manager) lookup(id ids.SegmentID) (*segment, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: meta reply %T", ErrBadRequest, reply)
 	}
-	seg = &segment{meta: meta, cache: make(map[int]*cachedPage)}
+	seg = newSegment(meta)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if existing, dup := m.segs[id]; dup {
@@ -324,104 +404,115 @@ func (m *Manager) Write(id ids.SegmentID, off int, data []byte) error {
 // access. The snapshot is taken under the cache lock so local writers
 // (which mutate the cached page in place) never race with readers.
 func (m *Manager) pageForRead(seg *segment, page int) ([]byte, error) {
+	readable := func(cp *cachedPage) bool { return cp.mode != modeInvalid }
 	seg.mu.Lock()
-	if cp, ok := seg.cache[page]; ok && cp.mode != modeInvalid {
-		data := append([]byte(nil), cp.data...)
+	if seg.meta.UserPaged {
+		if cp, ok := seg.cache[page]; ok && readable(cp) {
+			defer seg.mu.Unlock()
+			return append([]byte(nil), cp.data...), nil
+		}
 		seg.mu.Unlock()
-		return data, nil
+		m.reg.Inc(metrics.CtrPageFault)
+		return m.userPageIn(seg, page, false)
+	}
+	if cp := seg.claimFault(page, readable); cp != nil {
+		defer seg.mu.Unlock()
+		return append([]byte(nil), cp.data...), nil
 	}
 	seg.mu.Unlock()
 	m.reg.Inc(metrics.CtrPageFault)
+	reply, err := m.fault(seg, MsgRead, page)
 
-	if seg.meta.UserPaged {
-		return m.userPageIn(seg, page, false)
-	}
-	if seg.meta.ID.Home() == m.node {
-		// Home's copy was taken by a remote owner; go through the local
-		// directory to get it back.
-		data, err := m.dirRead(seg, PageReq{Seg: seg.meta.ID, Page: page, From: m.node})
-		if err != nil {
-			return nil, err
-		}
-		return m.installLocal(seg, page, data, modeShared), nil
-	}
-	reply, err := m.transport.Call(seg.meta.ID.Home(), MsgRead, PageReq{Seg: seg.meta.ID, Page: page, From: m.node})
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	defer func() { seg.settle(page, reply.Grant) }()
 	if err != nil {
 		return nil, fmt.Errorf("read fault %v page %d: %w", seg.meta.ID, page, err)
 	}
-	pr, ok := reply.(PageReply)
-	if !ok {
-		return nil, fmt.Errorf("%w: read reply %T", ErrBadRequest, reply)
-	}
-	return m.installLocal(seg, page, pr.Data, modeShared), nil
+	stored := make([]byte, seg.meta.PageSize)
+	copy(stored, reply.Data)
+	seg.cache[page] = &cachedPage{mode: modeShared, data: stored}
+	return append([]byte(nil), stored...), nil
 }
 
 // pageForWrite returns the page cache slot with exclusive access.
 func (m *Manager) pageForWrite(seg *segment, page int) (*cachedPage, error) {
 	seg.mu.Lock()
-	if cp, ok := seg.cache[page]; ok && cp.mode == modeExclusive {
+	if seg.meta.UserPaged {
+		// Coherence on user-paged segments is the pager's business: a
+		// locally cached copy (installed by the pager) is writable
+		// directly; the pager merges divergent copies later (§6.4).
+		cp, ok := seg.cache[page]
+		if !ok || cp.mode == modeInvalid {
+			seg.mu.Unlock()
+			m.reg.Inc(metrics.CtrPageFault)
+			if _, err := m.userPageIn(seg, page, true); err != nil {
+				return nil, err
+			}
+			seg.mu.Lock()
+			cp = seg.cache[page]
+		} else if cp.mode != modeExclusive {
+			m.reg.Inc(metrics.CtrPageFault)
+		}
+		defer seg.mu.Unlock()
+		cp.mode = modeExclusive
+		return cp, nil
+	}
+	if cp := seg.claimFault(page, func(cp *cachedPage) bool { return cp.mode == modeExclusive }); cp != nil {
 		seg.mu.Unlock()
 		return cp, nil
 	}
 	seg.mu.Unlock()
 	m.reg.Inc(metrics.CtrPageFault)
-
-	if seg.meta.UserPaged {
-		// Coherence on user-paged segments is the pager's business: a
-		// locally cached copy (installed by the pager) is writable
-		// directly; the pager merges divergent copies later (§6.4).
-		seg.mu.Lock()
-		if cp, ok := seg.cache[page]; ok && cp.mode != modeInvalid {
-			cp.mode = modeExclusive
-			seg.mu.Unlock()
-			return cp, nil
-		}
-		seg.mu.Unlock()
-		if _, err := m.userPageIn(seg, page, true); err != nil {
-			return nil, err
-		}
-		seg.mu.Lock()
-		defer seg.mu.Unlock()
-		cp := seg.cache[page]
-		cp.mode = modeExclusive
-		return cp, nil
-	}
-
-	var (
-		data []byte
-		err  error
-	)
-	if seg.meta.ID.Home() == m.node {
-		data, err = m.dirWrite(seg, PageReq{Seg: seg.meta.ID, Page: page, From: m.node})
-	} else {
-		var reply any
-		reply, err = m.transport.Call(seg.meta.ID.Home(), MsgWrite, PageReq{Seg: seg.meta.ID, Page: page, From: m.node})
-		if err == nil {
-			pr, ok := reply.(PageReply)
-			if !ok {
-				return nil, fmt.Errorf("%w: write reply %T", ErrBadRequest, reply)
-			}
-			data = pr.Data
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("write fault %v page %d: %w", seg.meta.ID, page, err)
-	}
+	reply, err := m.fault(seg, MsgWrite, page)
 
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
+	defer func() { seg.settle(page, reply.Grant) }()
+	if err != nil {
+		return nil, fmt.Errorf("write fault %v page %d: %w", seg.meta.ID, page, err)
+	}
 	cp, ok := seg.cache[page]
-	if !ok || cp.mode == modeInvalid {
-		if data == nil {
-			data = make([]byte, seg.meta.PageSize)
-		}
-		cp = &cachedPage{data: data}
+	switch {
+	case reply.Data != nil:
+		cp = &cachedPage{data: reply.Data}
 		seg.cache[page] = cp
-	} else if data != nil {
-		cp.data = data
+	case !ok || cp.mode == modeInvalid:
+		// A grant without data says this node's copy is current, and
+		// revocations are ordered after grants, so the copy must be here.
+		return nil, fmt.Errorf("dsm: write grant for %v page %d carries no data and %v holds no copy", seg.meta.ID, page, m.node)
 	}
 	cp.mode = modeExclusive
 	return cp, nil
+}
+
+// fault asks the page's directory — this manager's own when it is the
+// home, the home's over the transport otherwise — to service a read or
+// write fault.
+func (m *Manager) fault(seg *segment, kind string, page int) (PageReply, error) {
+	req := PageReq{Seg: seg.meta.ID, Page: page, From: m.node}
+	home := seg.meta.ID.Home()
+	switch {
+	case home != m.node:
+		return m.callPage(home, kind, req)
+	case kind == MsgRead:
+		return m.dirRead(seg, req)
+	default:
+		return m.dirWrite(seg, req)
+	}
+}
+
+// callPage performs one page-protocol call that answers with a PageReply.
+func (m *Manager) callPage(to ids.NodeID, kind string, req PageReq) (PageReply, error) {
+	reply, err := m.transport.Call(to, kind, req)
+	if err != nil {
+		return PageReply{}, err
+	}
+	pr, ok := reply.(PageReply)
+	if !ok {
+		return PageReply{}, fmt.Errorf("%w: %s reply %T", ErrBadRequest, kind, reply)
+	}
+	return pr, nil
 }
 
 // userPageIn services a fault on a user-paged segment via the pager hook.
@@ -535,12 +626,12 @@ func (m *Manager) HandleRequest(kind string, req any) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, err := m.dirRead(seg, r)
+		reply, err := m.dirRead(seg, r)
 		if err != nil {
 			return nil, err
 		}
 		m.reg.Inc(metrics.CtrPageFetch)
-		return PageReply{Data: data}, nil
+		return reply, nil
 
 	case MsgWrite:
 		r, ok := req.(PageReq)
@@ -551,35 +642,19 @@ func (m *Manager) HandleRequest(kind string, req any) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, err := m.dirWrite(seg, r)
+		reply, err := m.dirWrite(seg, r)
 		if err != nil {
 			return nil, err
 		}
 		m.reg.Inc(metrics.CtrPageFetch)
-		return PageReply{Data: data}, nil
+		return reply, nil
 
-	case MsgDegrade:
+	case MsgDegrade, MsgTake, MsgInv:
 		r, ok := req.(PageReq)
 		if !ok {
 			return nil, fmt.Errorf("%w: %s payload %T", ErrBadRequest, kind, req)
 		}
-		return m.degradeLocal(r)
-
-	case MsgTake:
-		r, ok := req.(PageReq)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s payload %T", ErrBadRequest, kind, req)
-		}
-		return m.takeLocal(r)
-
-	case MsgInv:
-		r, ok := req.(PageReq)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s payload %T", ErrBadRequest, kind, req)
-		}
-		m.invalidateLocal(r)
-		m.reg.Inc(metrics.CtrPageInvalidate)
-		return PageReply{}, nil
+		return m.revokeLocal(kind, r)
 
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
@@ -600,51 +675,35 @@ func (m *Manager) homeSegment(id ids.SegmentID) (*segment, error) {
 	return seg, nil
 }
 
-// dirRead runs the home directory's read-fault protocol and returns page
-// data for the requester.
-func (m *Manager) dirRead(seg *segment, r PageReq) ([]byte, error) {
+// dirRead runs the home directory's read-fault protocol: the owner
+// downgrades to shared and its data goes to the requester.
+func (m *Manager) dirRead(seg *segment, r PageReq) (PageReply, error) {
 	if r.Page < 0 || r.Page >= seg.meta.Pages() {
-		return nil, fmt.Errorf("%w: page %d of %v", ErrOutOfRange, r.Page, seg.meta.ID)
+		return PageReply{}, fmt.Errorf("%w: page %d of %v", ErrOutOfRange, r.Page, seg.meta.ID)
 	}
 	de := seg.dir[r.Page]
 	de.mu.Lock()
 	defer de.mu.Unlock()
 
-	var data []byte
-	if de.owner == m.node {
-		seg.mu.Lock()
-		cp, ok := seg.cache[r.Page]
-		if !ok || cp.mode == modeInvalid {
-			seg.mu.Unlock()
-			return nil, fmt.Errorf("dsm: directory owner %v lost page %d of %v", m.node, r.Page, seg.meta.ID)
-		}
-		if cp.mode == modeExclusive {
-			cp.mode = modeShared
-		}
-		data = append([]byte(nil), cp.data...)
-		seg.mu.Unlock()
-	} else {
-		reply, err := m.transport.Call(de.owner, MsgDegrade, PageReq{Seg: seg.meta.ID, Page: r.Page, From: r.From})
-		if err != nil {
-			return nil, fmt.Errorf("degrade owner %v: %w", de.owner, err)
-		}
-		pr, ok := reply.(PageReply)
-		if !ok {
-			return nil, fmt.Errorf("%w: degrade reply %T", ErrBadRequest, reply)
-		}
-		data = pr.Data
+	if de.owner == r.From {
+		// An owner can always read its copy; it has lost its state.
+		return PageReply{}, fmt.Errorf("dsm: directory owner %v lost page %d of %v", r.From, r.Page, seg.meta.ID)
+	}
+	reply, err := m.revoke(de, de.owner, MsgDegrade, r)
+	if err != nil {
+		return PageReply{}, fmt.Errorf("degrade owner %v: %w", de.owner, err)
 	}
 	de.copyset[r.From] = true
-	return data, nil
+	return de.grant(r.From, reply.Data), nil
 }
 
 // dirWrite runs the home directory's write-fault protocol: invalidate the
 // copyset, take the page from the owner, transfer ownership to the
-// requester. A nil data return means the requester's shared copy is already
-// current.
-func (m *Manager) dirWrite(seg *segment, r PageReq) ([]byte, error) {
+// requester. A reply without data means the requester's shared copy is
+// already current.
+func (m *Manager) dirWrite(seg *segment, r PageReq) (PageReply, error) {
 	if r.Page < 0 || r.Page >= seg.meta.Pages() {
-		return nil, fmt.Errorf("%w: page %d of %v", ErrOutOfRange, r.Page, seg.meta.ID)
+		return PageReply{}, fmt.Errorf("%w: page %d of %v", ErrOutOfRange, r.Page, seg.meta.ID)
 	}
 	de := seg.dir[r.Page]
 	de.mu.Lock()
@@ -657,13 +716,8 @@ func (m *Manager) dirWrite(seg *segment, r PageReq) ([]byte, error) {
 		if member == r.From || member == de.owner {
 			continue
 		}
-		if member == m.node {
-			m.invalidateLocal(PageReq{Seg: seg.meta.ID, Page: r.Page})
-			m.reg.Inc(metrics.CtrPageInvalidate)
-			continue
-		}
-		if _, err := m.transport.Call(member, MsgInv, PageReq{Seg: seg.meta.ID, Page: r.Page}); err != nil {
-			return nil, fmt.Errorf("invalidate %v: %w", member, err)
+		if _, err := m.revoke(de, member, MsgInv, r); err != nil {
+			return PageReply{}, fmt.Errorf("invalidate %v: %w", member, err)
 		}
 	}
 
@@ -674,104 +728,63 @@ func (m *Manager) dirWrite(seg *segment, r PageReq) ([]byte, error) {
 	case requesterHadCopy:
 		// The requester's shared copy is current; ownership transfers
 		// without a data transfer, but the old owner drops its copy.
-		if err := m.relinquish(seg, de.owner, r); err != nil {
-			return nil, err
+		if _, err := m.revoke(de, de.owner, MsgInv, r); err != nil {
+			return PageReply{}, fmt.Errorf("relinquish %v: %w", de.owner, err)
 		}
 	default:
-		taken, err := m.takeFrom(seg, de.owner, r)
+		taken, err := m.revoke(de, de.owner, MsgTake, r)
 		if err != nil {
-			return nil, err
+			return PageReply{}, fmt.Errorf("take from owner %v: %w", de.owner, err)
 		}
-		data = taken
+		data = taken.Data
 	}
 	de.owner = r.From
 	de.copyset = map[ids.NodeID]bool{r.From: true}
-	return data, nil
+	return de.grant(r.From, data), nil
 }
 
-// takeFrom retrieves the page from owner, invalidating the owner's copy.
-func (m *Manager) takeFrom(seg *segment, owner ids.NodeID, r PageReq) ([]byte, error) {
-	if owner == m.node {
-		seg.mu.Lock()
-		cp, ok := seg.cache[r.Page]
-		var data []byte
-		if ok && cp.mode != modeInvalid {
-			data = append([]byte(nil), cp.data...)
+// revoke sends node one revocation of r's page on behalf of the faulting
+// requester, stamped with the grants issued to node so far; a revocation
+// of this node's own copy is applied directly. Caller holds de.mu.
+func (m *Manager) revoke(de *dirEntry, node ids.NodeID, kind string, r PageReq) (PageReply, error) {
+	req := PageReq{Seg: r.Seg, Page: r.Page, From: r.From, Grants: de.grants[node]}
+	if node == m.node {
+		return m.revokeLocal(kind, req)
+	}
+	return m.callPage(node, kind, req)
+}
+
+// revokeLocal applies a directory revocation to this node's copy of a
+// page, once the grants that preceded it are installed: MsgInv drops the
+// copy, MsgDegrade downgrades it to shared and returns the data, MsgTake
+// gives it up entirely and returns the data.
+func (m *Manager) revokeLocal(kind string, r PageReq) (PageReply, error) {
+	m.mu.RLock()
+	seg, ok := m.segs[r.Seg]
+	m.mu.RUnlock()
+	if !ok {
+		if kind == MsgInv {
+			return PageReply{}, nil // never touched the segment: nothing to drop
 		}
+		return PageReply{}, fmt.Errorf("%w: %v", ErrUnknownSegment, r.Seg)
+	}
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	seg.awaitGrants(r.Page, r.Grants)
+	cp, held := seg.cache[r.Page]
+	held = held && cp.mode != modeInvalid
+	switch {
+	case kind == MsgInv:
 		delete(seg.cache, r.Page)
-		seg.mu.Unlock()
-		return data, nil
+		m.reg.Inc(metrics.CtrPageInvalidate)
+		return PageReply{}, nil
+	case !held:
+		return PageReply{}, fmt.Errorf("dsm: %s of page %d not held at %v", kind, r.Page, m.node)
+	case kind == MsgDegrade:
+		cp.mode = modeShared
+		return PageReply{Data: append([]byte(nil), cp.data...)}, nil
+	default:
+		delete(seg.cache, r.Page)
+		return PageReply{Data: cp.data}, nil
 	}
-	reply, err := m.transport.Call(owner, MsgTake, PageReq{Seg: seg.meta.ID, Page: r.Page, From: r.From})
-	if err != nil {
-		return nil, fmt.Errorf("take from owner %v: %w", owner, err)
-	}
-	pr, ok := reply.(PageReply)
-	if !ok {
-		return nil, fmt.Errorf("%w: take reply %T", ErrBadRequest, reply)
-	}
-	return pr.Data, nil
-}
-
-// relinquish drops the owner's copy without transferring data.
-func (m *Manager) relinquish(seg *segment, owner ids.NodeID, r PageReq) error {
-	if owner == m.node {
-		m.invalidateLocal(PageReq{Seg: seg.meta.ID, Page: r.Page})
-		return nil
-	}
-	if _, err := m.transport.Call(owner, MsgInv, PageReq{Seg: seg.meta.ID, Page: r.Page}); err != nil {
-		return fmt.Errorf("relinquish %v: %w", owner, err)
-	}
-	return nil
-}
-
-// degradeLocal downgrades this node's exclusive copy to shared and returns
-// the data.
-func (m *Manager) degradeLocal(r PageReq) (PageReply, error) {
-	m.mu.RLock()
-	seg, ok := m.segs[r.Seg]
-	m.mu.RUnlock()
-	if !ok {
-		return PageReply{}, fmt.Errorf("%w: %v", ErrUnknownSegment, r.Seg)
-	}
-	seg.mu.Lock()
-	defer seg.mu.Unlock()
-	cp, ok := seg.cache[r.Page]
-	if !ok || cp.mode == modeInvalid {
-		return PageReply{}, fmt.Errorf("dsm: degrade of page %d not held at %v", r.Page, m.node)
-	}
-	cp.mode = modeShared
-	return PageReply{Data: append([]byte(nil), cp.data...)}, nil
-}
-
-// takeLocal gives up this node's copy entirely, returning the data.
-func (m *Manager) takeLocal(r PageReq) (PageReply, error) {
-	m.mu.RLock()
-	seg, ok := m.segs[r.Seg]
-	m.mu.RUnlock()
-	if !ok {
-		return PageReply{}, fmt.Errorf("%w: %v", ErrUnknownSegment, r.Seg)
-	}
-	seg.mu.Lock()
-	defer seg.mu.Unlock()
-	cp, ok := seg.cache[r.Page]
-	if !ok || cp.mode == modeInvalid {
-		return PageReply{}, fmt.Errorf("dsm: take of page %d not held at %v", r.Page, m.node)
-	}
-	data := cp.data
-	delete(seg.cache, r.Page)
-	return PageReply{Data: data}, nil
-}
-
-// invalidateLocal drops this node's copy of a page.
-func (m *Manager) invalidateLocal(r PageReq) {
-	m.mu.RLock()
-	seg, ok := m.segs[r.Seg]
-	m.mu.RUnlock()
-	if !ok {
-		return
-	}
-	seg.mu.Lock()
-	defer seg.mu.Unlock()
-	delete(seg.cache, r.Page)
 }

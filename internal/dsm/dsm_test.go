@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,6 +18,9 @@ type loopback struct {
 	mu       sync.Mutex
 	managers map[ids.NodeID]*Manager
 	calls    map[string]int
+	// intercept, when set, stands between a call and its service: serve
+	// runs the request at the callee, and the hook decides when.
+	intercept func(caller, to ids.NodeID, kind string, serve func() (any, error)) (any, error)
 }
 
 func newLoopback() *loopback {
@@ -36,11 +40,16 @@ func (p *peer) Call(to ids.NodeID, kind string, req any) (any, error) {
 	p.lb.mu.Lock()
 	p.lb.calls[kind]++
 	m, ok := p.lb.managers[to]
+	intercept := p.lb.intercept
 	p.lb.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("loopback: no manager at %v", to)
 	}
-	return m.HandleRequest(kind, req)
+	serve := func() (any, error) { return m.HandleRequest(kind, req) }
+	if intercept != nil {
+		return intercept(p.node, to, kind, serve)
+	}
+	return serve()
 }
 
 func (lb *loopback) callCount(kind string) int {
@@ -369,6 +378,80 @@ func TestConcurrentWritersSamePageNoLostFinalState(t *testing.T) {
 		if b != 30 {
 			t.Fatalf("byte %d = %d, want 30 (lost update under contention)", i, b)
 		}
+	}
+}
+
+// condWaiting reports whether some goroutine is parked in sync.Cond.Wait.
+func condWaiting() bool {
+	buf := make([]byte, 1<<16)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("sync.(*Cond).Wait"))
+}
+
+// The home commits a write grant and unlocks the page's directory entry
+// before the new owner has the page, so the next writer's take can reach
+// the new owner first. Here node 3's grant is parked in the transport while
+// node 2 faults on the same page: the take must wait for the grant, and
+// both writes must survive. (It used to fail "take of page 0 not held at
+// node3", losing node 2's write.)
+func TestTakeWaitsForGrantInFlight(t *testing.T) {
+	lb, mgrs := cluster(t, 3, 64)
+	seg := ids.NewSegmentID(1, 1)
+	if _, err := mgrs[0].CreateSegment(seg, 64, false); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var parkOnce, releaseOnce sync.Once
+	lb.intercept = func(caller, to ids.NodeID, kind string, serve func() (any, error)) (any, error) {
+		switch {
+		case caller == 3 && kind == MsgWrite:
+			reply, err := serve()
+			parkOnce.Do(func() { close(parked) })
+			<-release
+			return reply, err
+		case to == 3 && kind == MsgTake:
+			// Let the grant through only once the take has been answered
+			// or is waiting for it — never before it has looked.
+			type result struct {
+				reply any
+				err   error
+			}
+			done := make(chan result, 1)
+			go func() {
+				reply, err := serve()
+				done <- result{reply, err}
+			}()
+			for {
+				select {
+				case r := <-done:
+					releaseOnce.Do(func() { close(release) })
+					return r.reply, r.err
+				default:
+				}
+				if condWaiting() {
+					releaseOnce.Do(func() { close(release) })
+				}
+				runtime.Gosched()
+			}
+		}
+		return serve()
+	}
+
+	wrote3 := make(chan error, 1)
+	go func() { wrote3 <- mgrs[2].Write(seg, 0, []byte{3}) }()
+	<-parked
+	if err := mgrs[1].Write(seg, 1, []byte{2}); err != nil {
+		t.Fatalf("node 2's write while node 3's grant is in flight: %v", err)
+	}
+	if err := <-wrote3; err != nil {
+		t.Fatalf("node 3's write: %v", err)
+	}
+	got, err := mgrs[0].Read(seg, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 3 || got[1] != 2 {
+		t.Fatalf("bytes = %v, want [3 2] (a write was lost)", got)
 	}
 }
 

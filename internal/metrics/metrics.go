@@ -16,7 +16,12 @@ import (
 // Counter names used by the kernel. The set is open: any string is a valid
 // counter, but the kernel sticks to these so experiments are comparable.
 const (
-	// Network fabric.
+	// Network fabric, charged by transport.Pipeline for every transport.
+	// Delivered counts handler invocations: one per message, so a
+	// coalesced frame counts once per record on both links. Sent counts
+	// departures as the link charges them — per message, except that
+	// netsim's timed coalescer charges a frame once and leaves its records
+	// to the per-kind counters.
 	CtrMsgSent      = "net.msg.sent"
 	CtrMsgDelivered = "net.msg.delivered"
 	CtrMsgDropped   = "net.msg.dropped"

@@ -102,7 +102,6 @@ type linkKey struct {
 type linkBatch struct {
 	from, to ids.NodeID
 	class    transport.Class
-	ep       *endpoint
 
 	mu         sync.Mutex
 	pending    *batch.Frame // nil when nothing is waiting
@@ -137,7 +136,7 @@ func newBatcher(cfg BatchConfig, reg *metrics.Registry) *batcher {
 
 // link returns the coalescing state for from→to (per class with QoS on),
 // creating it on first use.
-func (b *batcher) link(from, to ids.NodeID, class transport.Class, ep *endpoint) *linkBatch {
+func (b *batcher) link(from, to ids.NodeID, class transport.Class) *linkBatch {
 	key := linkKey{from: from, to: to, class: class}
 	b.mu.RLock()
 	lb := b.links[key]
@@ -150,7 +149,7 @@ func (b *batcher) link(from, to ids.NodeID, class transport.Class, ep *endpoint)
 	if lb = b.links[key]; lb != nil {
 		return lb
 	}
-	lb = &linkBatch{from: from, to: to, class: class, ep: ep}
+	lb = &linkBatch{from: from, to: to, class: class}
 	b.links[key] = lb
 	return lb
 }
@@ -162,12 +161,12 @@ func (f *Fabric) Batching() bool { return f.bat != nil }
 // batchSend is Send's coalescing path. severed is the link state observed
 // at send time; it applies to a bare post, while a flushed frame re-checks
 // at departure (the cut may change while records wait).
-func (f *Fabric) batchSend(ep *endpoint, m Message, severed bool) {
+func (f *Fabric) batchSend(m Message, severed bool) {
 	cls := transport.ClassDefault
-	if f.qos {
+	if f.QoSEnabled() {
 		cls = m.Class
 	}
-	lb := f.bat.link(m.From, m.To, cls, ep)
+	lb := f.bat.link(m.From, m.To, cls)
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
 	now := f.clk.Now()
@@ -181,21 +180,17 @@ func (f *Fabric) batchSend(ep *endpoint, m Message, severed bool) {
 			lb.lastFlush = now
 		}
 		f.bat.ctrSolo.Add(1)
-		f.post(ep, m, severed)
+		f.post(m, severed)
 		return
 	}
 	if m.Size == 0 {
-		m.Size = PayloadSize(m.Payload)
+		m.Size = transport.PayloadSize(m.Payload)
 	}
 	// Inner records keep their per-kind accounting (charged here, at
 	// append) so traffic decomposition still works; the frame itself is
 	// charged to net.msg.sent and the net.batch kind at flush. Per-kind
 	// message sums therefore exceed net.msg.sent with batching on.
-	if m.Kind != "" {
-		kc := f.kindCounters(m.Kind)
-		kc.msgs.Add(1)
-		kc.bytes.Add(int64(m.Size))
-	}
+	f.ChargeKind(m.Kind, m.Size)
 	if lb.pending == nil {
 		lb.pending = batch.Get()
 	}
@@ -226,7 +221,7 @@ func (f *Fabric) batchSend(ep *endpoint, m Message, severed bool) {
 // long a record may wait, it is not a minimum).
 func (f *Fabric) flushTimer(lb *linkBatch) {
 	select {
-	case <-f.done:
+	case <-f.Done():
 		return
 	default:
 	}
@@ -254,15 +249,14 @@ func (f *Fabric) flushLink(lb *linkBatch, cause *atomic.Int64) {
 	f.bat.ctrFrames.Add(1)
 	f.bat.ctrRecs.Add(int64(fr.Len()))
 	fr.Finalize()
-	f.mu.RLock()
-	severed := f.cut[[2]ids.NodeID{lb.from, lb.to}] || f.crashed[lb.from] || f.crashed[lb.to]
-	f.mu.RUnlock()
-	f.post(lb.ep, Message{From: lb.from, To: lb.to, Kind: KindBatch, Payload: fr, Size: fr.WireSize(), Class: lb.class}, severed)
+	_, severed, _ := f.Route(lb.from, lb.to)
+	f.post(Message{From: lb.from, To: lb.to, Kind: KindBatch, Payload: fr, Size: fr.WireSize(), Class: lb.class}, severed)
 }
 
 // stopBatchTimers disarms every link's flush timer at Close. Pending
-// frames are abandoned like any queued message. Called after f.mu is
-// released: a flush in progress holds lb.mu and may need f.mu.RLock.
+// frames are abandoned like any queued message. Called after Shutdown has
+// released the pipeline lock: a flush in progress holds lb.mu while it
+// calls Route.
 func (f *Fabric) stopBatchTimers() {
 	if f.bat == nil {
 		return

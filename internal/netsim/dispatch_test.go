@@ -2,106 +2,10 @@ package netsim
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/ids"
 	"repro/internal/vclock"
 )
-
-// With DispatchWorkers > 1 and no jitter, delivery order per (sender,
-// receiver) pair must be preserved — the shard map sends each sender's
-// traffic through one worker — while messages from different senders are
-// handled concurrently.
-func TestDispatchWorkersPreserveSenderFIFO(t *testing.T) {
-	const (
-		workers   = 4
-		senders   = 4
-		perSender = 50
-		receiver  = ids.NodeID(9)
-	)
-	var (
-		mu       sync.Mutex
-		bySender = make(map[ids.NodeID][]int)
-
-		inflight    atomic.Int64
-		maxInflight atomic.Int64
-	)
-	f := New(Config{DispatchWorkers: workers})
-	h := func(m Message) {
-		cur := inflight.Add(1)
-		for {
-			max := maxInflight.Load()
-			if cur <= max || maxInflight.CompareAndSwap(max, cur) {
-				break
-			}
-		}
-		// Long enough that, with four senders blasting concurrently, the
-		// shards' handlers must overlap in wall time.
-		time.Sleep(time.Millisecond)
-		mu.Lock()
-		bySender[m.From] = append(bySender[m.From], m.Payload.(int))
-		mu.Unlock()
-		inflight.Add(-1)
-	}
-	if err := f.Attach(receiver, h); err != nil {
-		t.Fatalf("Attach receiver: %v", err)
-	}
-	for s := 1; s <= senders; s++ {
-		if err := f.Attach(ids.NodeID(s), nil); err != nil {
-			t.Fatalf("Attach sender %d: %v", s, err)
-		}
-	}
-	f.Start()
-	defer f.Close(context.Background())
-
-	var wg sync.WaitGroup
-	for s := 1; s <= senders; s++ {
-		wg.Add(1)
-		go func(from ids.NodeID) {
-			defer wg.Done()
-			for i := 0; i < perSender; i++ {
-				if err := f.Send(Message{From: from, To: receiver, Kind: "seq", Payload: i}); err != nil {
-					t.Errorf("Send: %v", err)
-					return
-				}
-			}
-		}(ids.NodeID(s))
-	}
-	wg.Wait()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		total := 0
-		for _, seq := range bySender {
-			total += len(seq)
-		}
-		mu.Unlock()
-		if total == senders*perSender {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out: delivered %d of %d", total, senders*perSender)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	for from, seq := range bySender {
-		for i, v := range seq {
-			if v != i {
-				t.Fatalf("sender %v: delivery %d carried payload %d — per-pair FIFO violated (%v...)", from, i, v, seq[:i+1])
-			}
-		}
-	}
-	if got := maxInflight.Load(); got < 2 {
-		t.Fatalf("max in-flight handlers = %d, want >= 2 (cross-sender concurrency never observed)", got)
-	}
-}
 
 // The deterministic simulation digest depends on serial per-node delivery,
 // so a virtual clock must force the worker pool down to 1 no matter what

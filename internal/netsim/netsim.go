@@ -12,7 +12,6 @@ package netsim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/transport"
@@ -28,37 +26,20 @@ import (
 	"repro/internal/vclock"
 )
 
-// Common fabric errors.
+// The message vocabulary and the send errors live in internal/transport,
+// as does the node side of this fabric (transport.Pipeline: attached nodes,
+// dispatch, faults, groups, accounting). What is here is the simulated
+// link: latency, jitter, seeded loss, the delay heap (sched.go) and the
+// timed coalescer (batch.go). The aliases keep netsim.Message and
+// errors.Is(err, netsim.ErrX) call sites compiling.
+type Message = transport.Message
+
 var (
-	ErrUnknownNode  = errors.New("netsim: unknown node")
-	ErrClosed       = errors.New("netsim: fabric closed")
-	ErrUnknownGroup = errors.New("netsim: unknown multicast group")
-	// ErrBackpressure is returned by Send when QoS admission control
-	// rejects the message at a zero-latency destination shard; see
-	// transport.ErrBackpressure.
+	ErrUnknownNode  = transport.ErrUnknownNode
+	ErrClosed       = transport.ErrClosed
+	ErrUnknownGroup = transport.ErrUnknownGroup
 	ErrBackpressure = transport.ErrBackpressure
 )
-
-// The message/size vocabulary lives in internal/transport (the interface
-// this fabric is the deterministic-sim implementation of); the aliases keep
-// every existing netsim.Message call site compiling unchanged.
-type (
-	// Message is one envelope on the wire.
-	Message = transport.Message
-	// Sizer lets payloads report their wire size; payloads that do not
-	// implement it are charged DefaultMessageSize bytes.
-	Sizer = transport.Sizer
-	// Handler consumes messages delivered to a node. Handlers run on one
-	// of the node's dispatch goroutines (see Config.DispatchWorkers); they
-	// must not block indefinitely. With DispatchWorkers > 1, messages from
-	// different senders may be handled concurrently, so handlers must be
-	// safe for concurrent calls; messages from the same sender are always
-	// handled by the same worker, in order.
-	Handler = transport.Handler
-)
-
-// DefaultMessageSize is the byte charge for payloads without a Sizer.
-const DefaultMessageSize = transport.DefaultMessageSize
 
 // Config parameterizes a Fabric.
 type Config struct {
@@ -112,70 +93,27 @@ type Config struct {
 	QoS transport.QoSConfig
 }
 
-type endpoint struct {
-	node    ids.NodeID
-	inboxes []chan Message // sharded by sender; len == Fabric.workers (FIFO path)
-	qs      []*qdisc.Queue // sharded by sender; non-nil only with QoS on
-	handler Handler
-	done    chan struct{}
-
-	// Jitter/drop randomness is per-endpoint (seeded from the fabric seed
-	// and the destination node ID) so concurrent senders contend on one
-	// destination's lock at worst, never on a fabric-global one.
-	rngMu sync.Mutex
-	rng   *rand.Rand
-}
-
-// shard returns the inbox shard for messages from the given sender.
-func (ep *endpoint) shard(from ids.NodeID) chan Message {
-	if len(ep.inboxes) == 1 {
-		return ep.inboxes[0]
-	}
-	return ep.inboxes[uint64(from)%uint64(len(ep.inboxes))]
-}
-
-// shardQ returns the QoS queue shard for messages from the given sender
-// (same sender→shard mapping as shard, so per-pair FIFO within a class is
-// preserved).
-func (ep *endpoint) shardQ(from ids.NodeID) *qdisc.Queue {
-	if len(ep.qs) == 1 {
-		return ep.qs[0]
-	}
-	return ep.qs[uint64(from)%uint64(len(ep.qs))]
-}
-
-// kindCounters is the pair of interned per-kind wire counters; cached per
-// fabric so post never rebuilds the fmt-style counter names per message.
-type kindCounters struct {
-	msgs  *atomic.Int64
-	bytes *atomic.Int64
+// destRNG is the jitter/drop random source of one destination node: seeded
+// from the fabric seed and the node ID, so a seeded run replays the same
+// schedule and concurrent senders contend on one destination's lock at
+// worst, never on a fabric-global one.
+type destRNG struct {
+	mu sync.Mutex
+	r  *rand.Rand
 }
 
 // Fabric connects a fixed set of nodes. Create with New, attach node
 // handlers with Attach, then Start. All methods are safe for concurrent
 // use.
 type Fabric struct {
-	cfg      Config
-	reg      *metrics.Registry
-	clk      vclock.Clock
-	seed     int64
-	workers  int // resolved DispatchWorkers (>= 1)
-	qos      bool
-	qosDepth int // resolved per-shard tenant budget (only meaningful with qos)
-
-	// Pre-resolved handles for the counters charged on every message, so
-	// the post/deliver hot path is pure atomic adds — no map lookups.
-	ctrSent      *atomic.Int64
-	ctrDelivered *atomic.Int64
-	ctrDropped   *atomic.Int64
-	ctrBytes     *atomic.Int64
-	ctrBroadcast *atomic.Int64
-	ctrMulticast *atomic.Int64
-	kindCtrs     sync.Map // message kind -> *kindCounters
+	*transport.Pipeline
+	cfg  Config
+	clk  vclock.Clock
+	seed int64
 
 	// nodeSent tracks physical departures per source node (same charge
-	// point as ctrSent — after batching, before drop). Scaling sweeps use
-	// it to check no single node bears O(n) of a broadcast's cost once
+	// point as net.msg.sent — after batching, before drop). Scaling sweeps
+	// use it to check no single node bears O(n) of a broadcast's cost once
 	// tree fan-out spreads the relay work.
 	nodeSent sync.Map // ids.NodeID -> *atomic.Int64
 
@@ -184,25 +122,13 @@ type Fabric struct {
 	// clock).
 	bat *batcher
 
-	mu        sync.RWMutex
-	endpoints map[ids.NodeID]*endpoint
-	groups    map[string]map[ids.NodeID]bool
-	cut       map[[2]ids.NodeID]bool // severed directed links
-	crashed   map[ids.NodeID]bool    // fail-stopped nodes (CrashNode)
-	started   bool
-	closed    bool
-
-	// dropRate is the runtime drop probability (float64 bits); it starts at
-	// cfg.DropRate and can be changed mid-run via SetDropRate, which chaos
-	// experiments use to inject loss into an already-booted cluster.
-	dropRate atomic.Uint64
+	rngs sync.Map // ids.NodeID -> *destRNG, created on first draw
 
 	// linkDrop holds per-directed-link drop probabilities (float64 bits,
 	// keyed [from,to]) installed by SetDropRateDirected; the effective
 	// rate for a send is the max of the global rate and the link's.
 	// linkDropN counts installed entries so the hot path skips the map
-	// lookup entirely when no directed loss is configured. A sync.Map —
-	// not f.mu — keeps post() lock-free, preserving its no-f.mu contract.
+	// lookup entirely when no directed loss is configured.
 	linkDrop  sync.Map
 	linkDropN atomic.Int64
 
@@ -212,9 +138,6 @@ type Fabric struct {
 	schedHeap delayHeap
 	schedSeq  uint64
 	schedWake chan struct{}
-	done      chan struct{} // closed by Close; stops the scheduler
-
-	wg sync.WaitGroup
 }
 
 // DefaultSeed seeds the jitter/drop random source when Config.Seed is
@@ -226,23 +149,13 @@ const DefaultSeed = 1
 
 // New returns a Fabric with the given configuration and no nodes attached.
 func New(cfg Config) *Fabric {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = DefaultSeed
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	workers := cfg.DispatchWorkers
-	if workers <= 0 {
-		workers = 1
-	}
 	batching := cfg.Batch.Enabled
-	qos := cfg.QoS.Enabled
+	qos := cfg.QoS
 	if _, virtual := cfg.Clock.(*vclock.Virtual); virtual {
 		// Deterministic simulation requires serial per-node delivery, and
 		// per-message posts: a flush-window timer in the virtual heap would
@@ -252,68 +165,27 @@ func New(cfg Config) *Fabric {
 		// invariant scenario does deliberately.
 		workers = 1
 		batching = false
-		if !cfg.QoS.AllowVirtual {
-			qos = false
-		}
-	}
-	qosDepth := cfg.QoS.Depth
-	if qosDepth <= 0 {
-		qosDepth = cfg.QueueDepth
+		qos.Enabled = qos.Enabled && qos.AllowVirtual
 	}
 	f := &Fabric{
-		cfg:          cfg,
-		reg:          reg,
-		clk:          vclock.Or(cfg.Clock),
-		seed:         seed,
-		workers:      workers,
-		qos:          qos,
-		qosDepth:     qosDepth,
-		ctrSent:      reg.Counter(metrics.CtrMsgSent),
-		ctrDelivered: reg.Counter(metrics.CtrMsgDelivered),
-		ctrDropped:   reg.Counter(metrics.CtrMsgDropped),
-		ctrBytes:     reg.Counter(metrics.CtrMsgBytes),
-		ctrBroadcast: reg.Counter(metrics.CtrBroadcast),
-		ctrMulticast: reg.Counter(metrics.CtrMulticast),
-		endpoints:    make(map[ids.NodeID]*endpoint),
-		groups:       make(map[string]map[ids.NodeID]bool),
-		cut:          make(map[[2]ids.NodeID]bool),
-		crashed:      make(map[ids.NodeID]bool),
-		schedWake:    make(chan struct{}, 1),
-		done:         make(chan struct{}),
+		Pipeline: transport.NewPipeline(transport.PipelineConfig{
+			Workers:    workers,
+			QueueDepth: cfg.QueueDepth,
+			Metrics:    cfg.Metrics,
+			Clock:      cfg.Clock,
+			QoS:        qos,
+			NewQueue:   qdisc.NewShard,
+		}),
+		cfg:       cfg,
+		clk:       vclock.Or(cfg.Clock),
+		seed:      seed,
+		schedWake: make(chan struct{}, 1),
 	}
-	f.dropRate.Store(math.Float64bits(cfg.DropRate))
+	f.SetDropRate(cfg.DropRate)
 	if batching {
-		f.bat = newBatcher(cfg.Batch, reg)
+		f.bat = newBatcher(cfg.Batch, f.Metrics())
 	}
 	return f
-}
-
-// DispatchWorkers returns the resolved per-node dispatch parallelism (1
-// unless Config.DispatchWorkers asked for more on a non-virtual clock).
-func (f *Fabric) DispatchWorkers() int { return f.workers }
-
-// QueueDepth returns the resolved per-shard inbox capacity (1024 unless
-// Config.QueueDepth overrode it) — the FIFO path's stall threshold and the
-// default QoS tenant budget. See Config.QueueDepth for the overload
-// semantics of a full shard.
-func (f *Fabric) QueueDepth() int { return f.cfg.QueueDepth }
-
-// QoSEnabled reports whether class-aware dispatch is active (false when
-// disabled by config or forced off under a virtual clock).
-func (f *Fabric) QoSEnabled() bool { return f.qos }
-
-// kindCounters returns the interned counter pair for a message kind,
-// building the counter names at most once per kind per fabric.
-func (f *Fabric) kindCounters(kind string) *kindCounters {
-	if kc, ok := f.kindCtrs.Load(kind); ok {
-		return kc.(*kindCounters)
-	}
-	kc := &kindCounters{
-		msgs:  f.reg.Counter(metrics.KindMsgs(kind)),
-		bytes: f.reg.Counter(metrics.KindBytes(kind)),
-	}
-	actual, _ := f.kindCtrs.LoadOrStore(kind, kc)
-	return actual.(*kindCounters)
 }
 
 // nodeSentCtr returns node's departure counter, creating it on first use.
@@ -325,18 +197,8 @@ func (f *Fabric) nodeSentCtr(node ids.NodeID) *atomic.Int64 {
 	return c.(*atomic.Int64)
 }
 
-// NodeSent returns the number of physical messages node has put on the
-// wire (departures: counted after batching, before loss), or zero for a
-// node that has never sent.
-func (f *Fabric) NodeSent(node ids.NodeID) int64 {
-	if c, ok := f.nodeSent.Load(node); ok {
-		return c.(*atomic.Int64).Load()
-	}
-	return 0
-}
-
-// NodeSends returns the per-node physical departure counts for every
-// node that has sent at least one message.
+// NodeSends returns the per-node physical departure counts (counted after
+// batching, before loss) for every node that has sent at least one message.
 func (f *Fabric) NodeSends() map[ids.NodeID]int64 {
 	out := map[ids.NodeID]int64{}
 	f.nodeSent.Range(func(k, v any) bool {
@@ -346,90 +208,12 @@ func (f *Fabric) NodeSends() map[ids.NodeID]int64 {
 	return out
 }
 
-// Metrics returns the registry accounting this fabric's traffic.
-func (f *Fabric) Metrics() *metrics.Registry { return f.reg }
-
-// Attach registers node with its message handler. Attach must be called
-// before Start.
-func (f *Fabric) Attach(node ids.NodeID, h Handler) error {
-	if !node.IsValid() {
-		return fmt.Errorf("netsim: attach: %v is not a valid node", node)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.started {
-		return errors.New("netsim: attach after Start")
-	}
-	if _, dup := f.endpoints[node]; dup {
-		return fmt.Errorf("netsim: node %v already attached", node)
-	}
-	inboxes := make([]chan Message, f.workers)
-	for i := range inboxes {
-		inboxes[i] = make(chan Message, f.cfg.QueueDepth)
-	}
-	var qs []*qdisc.Queue
-	if f.qos {
-		qs = make([]*qdisc.Queue, f.workers)
-		for i := range qs {
-			// A queued message holds a virtual-clock work token (taken in
-			// deliver); an eviction retires it here. The callback runs under
-			// the queue lock and must not re-enter the queue.
-			qs[i] = qdisc.New(&f.cfg.QoS, f.qosDepth, f.reg, func(Message) {
-				f.ctrDropped.Add(1)
-				vclock.EndWork(f.clk)
-			})
-		}
-	}
-	f.endpoints[node] = &endpoint{
-		node:    node,
-		inboxes: inboxes,
-		qs:      qs,
-		handler: h,
-		done:    make(chan struct{}),
-		// Derived deterministically from the fabric seed so a seeded run
-		// replays the same jitter/drop schedule. Digest-affecting relative
-		// to the old fabric-global RNG only when jitter or drops are on —
-		// the deterministic sim (internal/sim) uses neither.
-		rng: rand.New(rand.NewSource(f.seed ^ int64(uint64(node)*0x9E3779B97F4A7C15))),
-	}
-	return nil
-}
-
-// Nodes returns the attached node identifiers in unspecified order.
-func (f *Fabric) Nodes() []ids.NodeID {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]ids.NodeID, 0, len(f.endpoints))
-	for n := range f.endpoints {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Start launches the dispatch goroutines (DispatchWorkers per attached
 // node) and the delayed-delivery scheduler.
 func (f *Fabric) Start() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.started {
-		return
+	if f.Pipeline.Start() {
+		f.Go(f.schedule)
 	}
-	f.started = true
-	for _, ep := range f.endpoints {
-		if f.qos {
-			for i := range ep.qs {
-				f.wg.Add(1)
-				go f.dispatchQ(ep, ep.qs[i])
-			}
-		} else {
-			for i := range ep.inboxes {
-				f.wg.Add(1)
-				go f.dispatch(ep, ep.inboxes[i])
-			}
-		}
-	}
-	f.wg.Add(1)
-	go f.schedule()
 }
 
 // Close stops delivery and drains: it blocks until every dispatch
@@ -438,81 +222,9 @@ func (f *Fabric) Start() {
 // expiry abandons the wait and returns ctx.Err(); the fabric is still
 // closed, but a slow handler may finish after Close returns.
 func (f *Fabric) Close(ctx context.Context) error {
-	f.mu.Lock()
-	if !f.closed {
-		f.closed = true
-		for _, ep := range f.endpoints {
-			close(ep.done)
-		}
-		close(f.done)
-	}
-	f.mu.Unlock()
-	// Outside f.mu: an in-flight flush holds its link lock while taking
-	// f.mu.RLock, so disarming the timers under the write lock would
-	// deadlock against it.
+	f.Shutdown()
 	f.stopBatchTimers()
-	if ctx.Done() == nil {
-		f.wg.Wait()
-		return nil
-	}
-	drained := make(chan struct{})
-	go func() { f.wg.Wait(); close(drained) }()
-	select {
-	case <-drained:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (f *Fabric) dispatch(ep *endpoint, inbox chan Message) {
-	defer f.wg.Done()
-	for {
-		select {
-		case <-ep.done:
-			return
-		case m := <-inbox:
-			f.handle(ep, m)
-		}
-	}
-}
-
-// dispatchQ is the QoS drain loop for one shard: strict-priority
-// system/control, then DWRR over tenant classes, instead of channel FIFO.
-func (f *Fabric) dispatchQ(ep *endpoint, q *qdisc.Queue) {
-	defer f.wg.Done()
-	for {
-		m, ok := q.Pop(ep.done)
-		if !ok {
-			return
-		}
-		f.handle(ep, m)
-	}
-}
-
-// handle runs one delivered message through the endpoint's handler and
-// retires its virtual-clock work token.
-func (f *Fabric) handle(ep *endpoint, m Message) {
-	f.ctrDelivered.Add(1)
-	if fr, ok := m.Payload.(*batch.Frame); ok {
-		// Unbundle a coalesced frame: the handler sees the inner
-		// messages, in append order, on the same goroutine — the
-		// per-(sender,receiver) FIFO a bare stream would have. The
-		// frame returns to the pool; handlers own the payloads but
-		// must not retain the Message beyond their return anyway.
-		if ep.handler != nil {
-			for _, r := range fr.Recs() {
-				ep.handler(Message{From: m.From, To: m.To, Kind: r.Kind, Payload: r.Payload, Size: r.Size, Class: m.Class})
-			}
-		}
-		batch.Put(fr)
-	} else if ep.handler != nil {
-		ep.handler(m)
-	}
-	// The work token taken when the message entered the inbox is
-	// retired only after the handler returns: a virtual clock must
-	// not advance across a message that is queued or being handled.
-	vclock.EndWork(f.clk)
+	return f.Wait(ctx)
 }
 
 // Send delivers m.Payload from m.From to m.To asynchronously. It returns an
@@ -523,130 +235,77 @@ func (f *Fabric) handle(ep *endpoint, m Message) {
 // shed silently (counted in net.msg.dropped and dispatch.q.*.shed), like a
 // RED router dropping in-flight datagrams.
 func (f *Fabric) Send(m Message) error {
-	f.mu.RLock()
-	if f.closed {
-		f.mu.RUnlock()
-		return ErrClosed
+	attached, severed, err := f.Route(m.From, m.To)
+	if err != nil {
+		return err
 	}
-	ep, ok := f.endpoints[m.To]
-	severed := f.cut[[2]ids.NodeID{m.From, m.To}] || f.crashed[m.From] || f.crashed[m.To]
-	f.mu.RUnlock()
-	if !ok {
+	if !attached {
 		return fmt.Errorf("%w: %v", ErrUnknownNode, m.To)
 	}
 	if f.bat != nil {
-		f.batchSend(ep, m, severed)
+		f.batchSend(m, severed)
 		return nil
 	}
-	return f.post(ep, m, severed)
+	return f.post(m, severed)
 }
 
-// post accounts for m and delivers it: immediately when the fabric has no
-// latency, otherwise via the timer-heap scheduler. FIFO order between any
-// pair of nodes is preserved as long as latency is constant (jitter
-// deliberately relaxes ordering, as a real datagram network would). post
-// never touches f.mu or the WaitGroup, so callers holding a snapshot of
-// endpoints cannot race Close's wg.Wait. The only non-nil return is
-// ErrBackpressure from a zero-latency QoS admission reject.
-func (f *Fabric) post(ep *endpoint, m Message, severed bool) error {
-	if m.Size == 0 {
-		m.Size = PayloadSize(m.Payload)
-	}
-	// A bare message departs here; give departure-time payloads (the
-	// reliable layer's pending envelopes) their final form. Frame records
-	// were finalized at flush.
-	if fin, ok := m.Payload.(batch.Finalizer); ok {
-		m.Payload = fin.FinalizeFlush()
-	}
-	f.ctrSent.Add(1)
+// post puts m on the link: it departs now and arrives immediately when the
+// fabric has no latency, otherwise via the timer-heap scheduler. FIFO order
+// between any pair of nodes is preserved as long as latency is constant
+// (jitter deliberately relaxes ordering, as a real datagram network would).
+// The only non-nil return is ErrBackpressure from a zero-latency QoS
+// admission reject.
+func (f *Fabric) post(m Message, severed bool) error {
 	f.nodeSentCtr(m.From).Add(1)
-	f.ctrBytes.Add(int64(m.Size))
-	if m.Kind != "" {
-		kc := f.kindCounters(m.Kind)
-		kc.msgs.Add(1)
-		kc.bytes.Add(int64(m.Size))
+	if severed || f.lost(m.From, m.To) {
+		return f.Post(m, true)
 	}
-	rate := f.DropRate()
-	if lr := f.linkRate(m.From, m.To); lr > rate {
-		rate = lr
-	}
-	if severed || f.roll(ep, rate) < rate {
-		f.ctrDropped.Add(1)
-		return nil
-	}
-	delay := f.delay(ep)
+	delay := f.delay(m.To)
 	if delay == 0 {
-		return f.deliver(ep, m)
+		return f.Post(m, false)
 	}
-	f.enqueueDelayed(ep, m, delay)
+	f.Depart(&m)
+	f.enqueueDelayed(m, delay)
 	return nil
 }
 
-// deliver hands m to its destination shard. On the FIFO path it blocks
-// until the shard has room; with QoS on it runs admission control instead
-// and returns ErrBackpressure on a tenant reject (the only non-nil
-// return).
-func (f *Fabric) deliver(ep *endpoint, m Message) error {
-	// A message still in flight when its destination crashes is lost with
-	// the node: re-check at delivery time so delayed sends cannot outlive a
-	// crash that happened while they sat in the timer heap.
-	f.mu.RLock()
-	down := f.crashed[m.To]
-	f.mu.RUnlock()
-	if down {
-		f.ctrDropped.Add(1)
-		return nil
+// rng returns the destination's random source, seeding it on first use.
+// The sequence depends only on the fabric seed and the node, not on when
+// the first draw happens. The deterministic sim (internal/sim) uses neither
+// jitter nor drops and never gets here.
+func (f *Fabric) rng(to ids.NodeID) *destRNG {
+	if v, ok := f.rngs.Load(to); ok {
+		return v.(*destRNG)
 	}
-	vclock.BeginWork(f.clk)
-	if f.qos {
-		// Offer may evict a queued lighter-class message (its token is
-		// retired by the Attach-time OnShed callback) or reject this one.
-		if !ep.shardQ(m.From).Offer(m) {
-			vclock.EndWork(f.clk)
-			f.ctrDropped.Add(1)
-			return ErrBackpressure
-		}
-		return nil
-	}
-	select {
-	case ep.shard(m.From) <- m:
-		// Token retired by dispatch after the handler runs.
-	case <-ep.done:
-		vclock.EndWork(f.clk)
-	}
-	return nil
+	v, _ := f.rngs.LoadOrStore(to, &destRNG{r: rand.New(rand.NewSource(f.seed ^ int64(uint64(to)*0x9E3779B97F4A7C15)))})
+	return v.(*destRNG)
 }
 
-func (f *Fabric) delay(ep *endpoint) time.Duration {
+func (f *Fabric) delay(to ids.NodeID) time.Duration {
 	d := f.cfg.Latency
 	if f.cfg.Jitter > 0 {
-		ep.rngMu.Lock()
-		d += time.Duration(ep.rng.Int63n(int64(f.cfg.Jitter)))
-		ep.rngMu.Unlock()
+		r := f.rng(to)
+		r.mu.Lock()
+		d += time.Duration(r.r.Int63n(int64(f.cfg.Jitter)))
+		r.mu.Unlock()
 	}
 	return d
 }
 
-func (f *Fabric) roll(ep *endpoint, rate float64) float64 {
+// lost draws the injected loss for one departure on from → to: the
+// effective rate is the larger of the global drop rate and the link's.
+func (f *Fabric) lost(from, to ids.NodeID) bool {
+	rate := f.DropRate()
+	if lr := f.linkRate(from, to); lr > rate {
+		rate = lr
+	}
 	if rate <= 0 {
-		return 1
+		return false
 	}
-	ep.rngMu.Lock()
-	defer ep.rngMu.Unlock()
-	return ep.rng.Float64()
-}
-
-// DropRate returns the current drop probability.
-func (f *Fabric) DropRate() float64 {
-	return math.Float64frombits(f.dropRate.Load())
-}
-
-// SetDropRate changes the drop probability for all subsequent sends.
-func (f *Fabric) SetDropRate(rate float64) {
-	if rate < 0 {
-		rate = 0
-	}
-	f.dropRate.Store(math.Float64bits(rate))
+	r := f.rng(to)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.r.Float64() < rate
 }
 
 // linkRate returns the directed drop probability for from → to (0 when
@@ -681,154 +340,11 @@ func (f *Fabric) SetDropRateDirected(from, to ids.NodeID, rate float64) {
 	}
 }
 
-// CutLinkDirected severs the directed link from → to. CutLink is already
-// one-directional; this synonym exists so code written against
-// transport.DirectedFaultInjector reads unambiguously.
-func (f *Fabric) CutLinkDirected(from, to ids.NodeID) { f.CutLink(from, to) }
-
-// HealLinkDirected restores the directed link from → to.
-func (f *Fabric) HealLinkDirected(from, to ids.NodeID) { f.HealLink(from, to) }
-
-// Broadcast sends payload from the sender to every other attached node.
-// It costs n-1 unicast messages plus one broadcast operation in the
-// accounting, mirroring an Ethernet broadcast followed by per-host
-// processing.
-// One endpoint snapshotted for a scatter send: the destination plus
-// whether the link from the sender is currently severed.
-type scatterTarget struct {
-	ep      *endpoint
-	severed bool
-}
-
-func (f *Fabric) Broadcast(from ids.NodeID, kind string, payload any) error {
-	f.mu.RLock()
-	if f.closed {
-		f.mu.RUnlock()
-		return ErrClosed
-	}
-	fromDown := f.crashed[from]
-	targets := make([]scatterTarget, 0, len(f.endpoints))
-	for n, ep := range f.endpoints {
-		if n != from {
-			down := fromDown || f.crashed[n]
-			targets = append(targets, scatterTarget{ep: ep, severed: down || f.cut[[2]ids.NodeID{from, n}]})
-		}
-	}
-	f.mu.RUnlock()
-	f.ctrBroadcast.Add(1)
-	// One lock acquisition for the whole scatter: each post either lands
-	// in an inbox (zero latency) or the timer heap, so the n-1 sends cost
-	// no per-message locking or goroutines. Broadcasts are kernel plumbing
-	// (locate probes, membership) — classed system, never shed.
-	for _, t := range targets {
-		f.post(t.ep, Message{From: from, To: t.ep.node, Kind: kind, Payload: payload, Class: transport.ClassSystem}, t.severed)
-	}
-	return nil
-}
-
-// JoinGroup adds node to the named multicast group, creating the group on
-// first join.
-func (f *Fabric) JoinGroup(group string, node ids.NodeID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	g, ok := f.groups[group]
-	if !ok {
-		g = make(map[ids.NodeID]bool)
-		f.groups[group] = g
-	}
-	g[node] = true
-}
-
-// LeaveGroup removes node from the named multicast group.
-func (f *Fabric) LeaveGroup(group string, node ids.NodeID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g, ok := f.groups[group]; ok {
-		delete(g, node)
-		if len(g) == 0 {
-			delete(f.groups, group)
-		}
-	}
-}
-
-// GroupMembers returns the current members of group.
-func (f *Fabric) GroupMembers(group string) []ids.NodeID {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	g := f.groups[group]
-	out := make([]ids.NodeID, 0, len(g))
-	for n := range g {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Multicast sends payload to every member of group (including the sender if
-// it is a member). It costs one multicast operation plus one unicast per
-// member in the accounting.
-func (f *Fabric) Multicast(from ids.NodeID, group, kind string, payload any) error {
-	f.mu.RLock()
-	if f.closed {
-		f.mu.RUnlock()
-		return ErrClosed
-	}
-	g, ok := f.groups[group]
-	fromDown := f.crashed[from]
-	targets := make([]scatterTarget, 0, len(g))
-	for n := range g {
-		if ep, attached := f.endpoints[n]; attached {
-			down := fromDown || f.crashed[n]
-			targets = append(targets, scatterTarget{ep: ep, severed: down || f.cut[[2]ids.NodeID{from, n}]})
-		}
-	}
-	f.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownGroup, group)
-	}
-	f.ctrMulticast.Add(1)
-	// Multicast groups carry membership/recovery traffic — classed system,
-	// never shed.
-	for _, t := range targets {
-		f.post(t.ep, Message{From: from, To: t.ep.node, Kind: kind, Payload: payload, Class: transport.ClassSystem}, t.severed)
-	}
-	return nil
-}
-
-// CutLink severs the directed link from -> to: messages on it are counted
-// as dropped. Used by failure-injection tests.
-func (f *Fabric) CutLink(from, to ids.NodeID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.cut[[2]ids.NodeID{from, to}] = true
-}
-
-// HealLink restores a severed directed link.
-func (f *Fabric) HealLink(from, to ids.NodeID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.cut, [2]ids.NodeID{from, to})
-}
-
-// Partition severs every link between the two node sets, in both
-// directions. Links within each side stay up.
-func (f *Fabric) Partition(sideA, sideB []ids.NodeID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, a := range sideA {
-		for _, b := range sideB {
-			f.cut[[2]ids.NodeID{a, b}] = true
-			f.cut[[2]ids.NodeID{b, a}] = true
-		}
-	}
-}
-
 // HealAll restores every severed link and clears every directed drop
 // rate (the global SetDropRate is left alone — it was set globally and is
 // cleared globally).
 func (f *Fabric) HealAll() {
-	f.mu.Lock()
-	f.cut = make(map[[2]ids.NodeID]bool)
-	f.mu.Unlock()
+	f.Pipeline.HealAll()
 	f.linkDrop.Range(func(k, _ any) bool {
 		if _, ok := f.linkDrop.LoadAndDelete(k); ok {
 			f.linkDropN.Add(-1)
@@ -837,56 +353,51 @@ func (f *Fabric) HealAll() {
 	})
 }
 
-// CrashNode fail-stops node: every message to or from it, including those
-// already in flight, is dropped until RestartNode. The node's handler and
-// inbox stay attached so a restart needs no re-registration — a crashed
-// node in this simulation is one that has fallen silent, which is exactly
-// the failure model a heartbeat detector observes.
-func (f *Fabric) CrashNode(node ids.NodeID) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.endpoints[node]; !ok {
-		return fmt.Errorf("%w: %v", ErrUnknownNode, node)
+// Broadcast sends payload from the sender to every other attached node.
+// It costs n-1 unicast messages plus one broadcast operation in the
+// accounting, mirroring an Ethernet broadcast followed by per-host
+// processing.
+func (f *Fabric) Broadcast(from ids.NodeID, kind string, payload any) error {
+	if err := f.BeginBroadcast(); err != nil {
+		return err
 	}
-	if f.crashed[node] {
-		return fmt.Errorf("netsim: node %v is already crashed", node)
+	for _, to := range f.Nodes() {
+		if to != from {
+			f.scatter(from, to, kind, payload)
+		}
 	}
-	f.crashed[node] = true
 	return nil
 }
 
-// RestartNode brings a crashed node back: subsequent sends flow again.
-// Messages dropped while it was down stay lost (the reliable layer's
-// retries, not the fabric, are what recovers them).
-func (f *Fabric) RestartNode(node ids.NodeID) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.endpoints[node]; !ok {
-		return fmt.Errorf("%w: %v", ErrUnknownNode, node)
+// Multicast sends payload to every member of group (including the sender if
+// it is a member). It costs one multicast operation plus one unicast per
+// member in the accounting.
+func (f *Fabric) Multicast(from ids.NodeID, group, kind string, payload any) error {
+	members, err := f.BeginMulticast(group)
+	if err != nil {
+		return err
 	}
-	if !f.crashed[node] {
-		return fmt.Errorf("netsim: node %v is not crashed", node)
+	for _, to := range members {
+		f.scatter(from, to, kind, payload)
 	}
-	delete(f.crashed, node)
 	return nil
 }
 
-// Crashed reports whether node is currently fail-stopped.
-func (f *Fabric) Crashed(node ids.NodeID) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.crashed[node]
+// scatter posts one leg of a broadcast or multicast. Each leg lands in an
+// inbox (zero latency) or the timer heap, bypassing the coalescer, so a
+// scatter costs no goroutines. Both carry kernel plumbing (locate probes,
+// membership, recovery) — classed system, never shed.
+func (f *Fabric) scatter(from, to ids.NodeID, kind string, payload any) {
+	if attached, severed, err := f.Route(from, to); err == nil && attached {
+		f.post(Message{From: from, To: to, Kind: kind, Payload: payload, Class: transport.ClassSystem}, severed)
+	}
 }
-
-// PayloadSize is the canonical wire-size estimator for message payloads;
-// see transport.PayloadSize. Re-exported so netsim callers keep one name
-// for it.
-func PayloadSize(p any) int { return transport.PayloadSize(p) }
 
 // Compile-time interface checks: the fabric is the deterministic-sim
 // Transport implementation, with the full fault-injection surface.
 var (
-	_ transport.Transport     = (*Fabric)(nil)
-	_ transport.FaultInjector = (*Fabric)(nil)
-	_ transport.Batcher       = (*Fabric)(nil)
+	_ transport.Transport             = (*Fabric)(nil)
+	_ transport.FaultInjector         = (*Fabric)(nil)
+	_ transport.DirectedFaultInjector = (*Fabric)(nil)
+	_ transport.Batcher               = (*Fabric)(nil)
 )

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/metrics"
+	"repro/internal/transport"
 )
 
 // collector accumulates messages delivered to one node.
@@ -118,32 +119,6 @@ func TestSendAfterClose(t *testing.T) {
 	f.Close(context.Background())
 	if err := f.Send(Message{From: 1, To: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Send after Close: err = %v, want ErrClosed", err)
-	}
-}
-
-func TestAttachAfterStartFails(t *testing.T) {
-	f := New(Config{})
-	f.Start()
-	t.Cleanup(func() { f.Close(context.Background()) })
-	if err := f.Attach(1, nil); err == nil {
-		t.Fatal("Attach after Start succeeded, want error")
-	}
-}
-
-func TestAttachDuplicateFails(t *testing.T) {
-	f := New(Config{})
-	if err := f.Attach(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Attach(1, nil); err == nil {
-		t.Fatal("duplicate Attach succeeded, want error")
-	}
-}
-
-func TestAttachInvalidNodeFails(t *testing.T) {
-	f := New(Config{})
-	if err := f.Attach(ids.NoNode, nil); err == nil {
-		t.Fatal("Attach(NoNode) succeeded, want error")
 	}
 }
 
@@ -300,8 +275,8 @@ func TestByteAccountingUsesSizer(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols[2].waitN(t, 2)
-	if got := reg.Get(metrics.CtrMsgBytes); got != 100+DefaultMessageSize {
-		t.Fatalf("bytes = %d, want %d", got, 100+DefaultMessageSize)
+	if got := reg.Get(metrics.CtrMsgBytes); got != 100+transport.DefaultMessageSize {
+		t.Fatalf("bytes = %d, want %d", got, 100+transport.DefaultMessageSize)
 	}
 }
 
@@ -322,11 +297,11 @@ func TestPayloadSizeEstimates(t *testing.T) {
 		{"abcd", 12},
 		{true, 1},
 		{int64(7), 8},
-		{ids.NodeID(3), DefaultMessageSize}, // named types fall back
-		{unsized{}, DefaultMessageSize},
+		{ids.NodeID(3), transport.DefaultMessageSize}, // named types fall back
+		{unsized{}, transport.DefaultMessageSize},
 	}
 	for _, c := range cases {
-		if got := PayloadSize(c.payload); got != c.want {
+		if got := transport.PayloadSize(c.payload); got != c.want {
 			t.Errorf("PayloadSize(%T %v) = %d, want %d", c.payload, c.payload, got, c.want)
 		}
 	}

@@ -14,13 +14,12 @@ import (
 // delayed traffic now flows through a single scheduler goroutine driving a
 // timer heap ordered by (deliverAt, seq): one timer total, messages with
 // equal latency keep FIFO order per the sequence number, and the goroutine
-// is registered with the WaitGroup once, under the lock, in Start.
+// is registered with the pipeline once, in Start.
 
 // delayedMsg is one in-flight message waiting out its simulated latency.
 type delayedMsg struct {
 	at  time.Time
 	seq uint64
-	ep  *endpoint
 	m   Message
 }
 
@@ -54,14 +53,14 @@ func (h *delayHeap) Pop() any {
 // delayHeap plays for the machine clock, so delivery order is identical
 // and the simulation driver sees every in-flight message as a pending
 // timer it can advance over.
-func (f *Fabric) enqueueDelayed(ep *endpoint, m Message, delay time.Duration) {
+func (f *Fabric) enqueueDelayed(m Message, delay time.Duration) {
 	if _, ok := f.clk.(*vclock.Virtual); ok {
-		f.clk.AfterFunc(delay, func() { f.deliver(ep, m) })
+		f.clk.AfterFunc(delay, func() { f.Deliver(m) })
 		return
 	}
 	f.schedMu.Lock()
 	f.schedSeq++
-	heap.Push(&f.schedHeap, &delayedMsg{at: f.clk.Now().Add(delay), seq: f.schedSeq, ep: ep, m: m})
+	heap.Push(&f.schedHeap, &delayedMsg{at: f.clk.Now().Add(delay), seq: f.schedSeq, m: m})
 	f.schedMu.Unlock()
 	select {
 	case f.schedWake <- struct{}{}:
@@ -73,7 +72,6 @@ func (f *Fabric) enqueueDelayed(ep *endpoint, m Message, delay time.Duration) {
 // until the earliest queued message is due (or a new message arrives with
 // an earlier deadline), delivers everything due, and repeats until Close.
 func (f *Fabric) schedule() {
-	defer f.wg.Done()
 	timer := f.clk.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -83,7 +81,7 @@ func (f *Fabric) schedule() {
 		if wait < 0 {
 			// Heap empty: sleep until a Send queues something.
 			select {
-			case <-f.done:
+			case <-f.Done():
 				return
 			case <-f.schedWake:
 			}
@@ -91,7 +89,7 @@ func (f *Fabric) schedule() {
 		}
 		timer.Reset(wait)
 		select {
-		case <-f.done:
+		case <-f.Done():
 			timer.Stop()
 			return
 		case <-f.schedWake:
@@ -125,7 +123,8 @@ func (f *Fabric) deliverDue() time.Duration {
 		heap.Pop(&f.schedHeap)
 		f.schedMu.Unlock()
 		// Delivery can block on a full inbox; do it outside the heap lock
-		// so Sends keep queueing. ep.done unblocks it on Close.
-		f.deliver(head.ep, head.m)
+		// so Sends keep queueing. Close unblocks it. A QoS reject here is a
+		// silent shed, already counted.
+		f.Deliver(head.m)
 	}
 }

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -166,13 +165,13 @@ type Envelope struct {
 }
 
 // WireSize charges the sequence header, the piggybacked ack field, and the
-// inner payload. Sizing delegates to netsim.PayloadSize so nested structs
+// inner payload. Sizing delegates to transport.PayloadSize so nested structs
 // that implement Sizer are charged accurately instead of a flat constant.
 func (e Envelope) WireSize() int {
 	if e.Size > 0 {
 		return e.Size
 	}
-	return 24 + len(e.Kind) + netsim.PayloadSize(e.Payload)
+	return 24 + len(e.Kind) + transport.PayloadSize(e.Payload)
 }
 
 // Ack acknowledges receipt of envelopes: Seq is the specific envelope that
@@ -193,7 +192,7 @@ func (Ack) WireSize() int { return 20 }
 func (Ack) RidesOnly() {}
 
 // SendFunc transmits one raw fabric message (typically Fabric.Send).
-type SendFunc func(netsim.Message) error
+type SendFunc func(transport.Message) error
 
 // DeliverFunc receives a deduplicated payload at the destination.
 type DeliverFunc func(from ids.NodeID, kind string, payload any)
@@ -361,7 +360,7 @@ func (e *Endpoint) SendClass(to ids.NodeID, kind string, payload any, class tran
 	select {
 	case <-e.closed:
 		e.closeMu.RUnlock()
-		return netsim.ErrClosed
+		return transport.ErrClosed
 	default:
 	}
 	e.wg.Add(1)
@@ -377,7 +376,7 @@ func (e *Endpoint) SendClass(to ids.NodeID, kind string, payload any, class tran
 	// Size the payload here, before the first copy can reach the receiver:
 	// retransmission attempts reuse this figure instead of re-walking a
 	// payload the receiver may by then be mutating.
-	size := 24 + len(kind) + netsim.PayloadSize(payload)
+	size := 24 + len(kind) + transport.PayloadSize(payload)
 	go e.transmit(to, kind, payload, size, seq, class, ackCh)
 	return nil
 }
@@ -394,7 +393,7 @@ func (e *Endpoint) transmit(to ids.NodeID, kind string, payload any, size int, s
 		if attempt > 0 {
 			e.ctrRetry.Add(1)
 		}
-		err := e.send(netsim.Message{
+		err := e.send(transport.Message{
 			From: e.self, To: to, Kind: KindData, Class: class,
 			Payload: pendingEnv{e: e, to: to, env: Envelope{
 				Seq: seq, Gen: e.cfg.Generation, Kind: kind, Payload: payload, Size: size,
@@ -533,7 +532,7 @@ func (e *Endpoint) retire(from ids.NodeID, seq, cum uint64) {
 // itself). Data envelopes are always acknowledged — duplicates at once,
 // since the peer is retransmitting precisely because an earlier ack was
 // lost — and delivered only when the sequence number is fresh.
-func (e *Endpoint) Handle(m netsim.Message) bool {
+func (e *Endpoint) Handle(m transport.Message) bool {
 	switch m.Kind {
 	case KindAck:
 		ack, ok := m.Payload.(Ack)
@@ -603,7 +602,7 @@ func (e *Endpoint) emitAck(to ids.NodeID, seq, cum uint64) {
 	// Acks are protocol plumbing: classed system so a flooded tenant queue
 	// can never delay (or shed) the ack that would drain it. A lost ack is
 	// recovered by the peer's retransmit, so the send error is dropped.
-	_ = e.send(netsim.Message{From: e.self, To: to, Kind: KindAck, Class: transport.ClassSystem, Payload: Ack{Seq: seq, Cum: cum}})
+	_ = e.send(transport.Message{From: e.self, To: to, Kind: KindAck, Class: transport.ClassSystem, Payload: Ack{Seq: seq, Cum: cum}})
 }
 
 // scheduleAck records that peer to is owed an ack and arms the flush timer.

@@ -113,6 +113,11 @@ func New(cfg *transport.QoSConfig, depth int, reg *metrics.Registry, onShed func
 	return q
 }
 
+// NewShard is New typed as transport.PipelineConfig.NewQueue wants it.
+func NewShard(cfg *transport.QoSConfig, depth int, reg *metrics.Registry, onShed func(transport.Message)) transport.ClassQueue {
+	return New(cfg, depth, reg, onShed)
+}
+
 func (q *Queue) newClass(c transport.Class) *classQ {
 	name := c.Name()
 	return &classQ{

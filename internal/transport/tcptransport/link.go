@@ -29,7 +29,6 @@ type link struct {
 }
 
 func (l *link) run() {
-	defer l.t.wg.Done()
 	var conn net.Conn
 	defer func() {
 		if conn != nil {
@@ -42,7 +41,7 @@ func (l *link) run() {
 	for {
 		// Block for the first message of the next frame.
 		select {
-		case <-l.t.done:
+		case <-l.t.Done():
 			return
 		case m := <-l.out:
 			pending = append(pending[:0], m)
@@ -73,7 +72,7 @@ func (l *link) run() {
 			// counted as sent and are now lost — the reliable envelope
 			// above retransmits them once the link is back.
 			l.t.logf("tcptransport: write %s: %v", l.addr, err)
-			l.t.ctrDropped.Add(int64(n))
+			l.t.Drop(n)
 			conn.Close()
 			l.t.untrackConn(conn)
 			conn = nil
@@ -88,7 +87,7 @@ func (l *link) connect() net.Conn {
 	backoff := l.t.cfg.RetryBase
 	for attempt := 1; ; attempt++ {
 		select {
-		case <-l.t.done:
+		case <-l.t.Done():
 			return nil
 		default:
 		}
@@ -105,13 +104,15 @@ func (l *link) connect() net.Conn {
 				// detection of a dead/restarting peer (EOF or reset
 				// instead of a half-open socket), and symmetry — if a
 				// future peer does write, the records are handled.
-				l.t.wg.Add(1)
-				go func() {
-					defer l.t.wg.Done()
+				if !l.t.Go(func() {
 					defer l.t.untrackConn(conn)
 					defer conn.Close()
 					l.t.readLoop(conn)
-				}()
+				}) {
+					conn.Close()
+					l.t.untrackConn(conn)
+					return nil
+				}
 				return conn
 			}
 			err = herr
@@ -123,7 +124,7 @@ func (l *link) connect() net.Conn {
 		}
 		timer := time.NewTimer(backoff)
 		select {
-		case <-l.t.done:
+		case <-l.t.Done():
 			timer.Stop()
 			return nil
 		case <-l.kick:
@@ -164,8 +165,8 @@ func (t *Transport) encodeFrame(dst []byte, pending []transport.Message) ([]byte
 		e.Value(m.Payload)
 		if e.Err() != nil {
 			t.logf("tcptransport: drop %q to %v: %v", m.Kind, m.To, e.Err())
-			t.chargeSend(m.Kind, 0)
-			t.ctrDropped.Add(1)
+			t.ChargeSend(m.Kind, 0)
+			t.Drop(1)
 			continue
 		}
 		bodies = e.Buf
@@ -190,24 +191,14 @@ func (t *Transport) encodeFrame(dst []byte, pending []transport.Message) ([]byte
 	for _, r := range recs {
 		size := recFootprint(r)
 		total += size
-		t.chargeSend(r.Kind, size)
+		t.ChargeSend(r.Kind, size)
 	}
-	t.ctrBytes.Add(int64(len(dst) - start - 4 - total))
+	t.ChargeBytes(len(dst) - start - 4 - total)
 	return dst, len(recs)
 }
 
-// recFootprint is one record's bytes inside a frame: both length
-// prefixes plus kind and body, mirroring internal/batch's layout.
+// recFootprint is one record's bytes inside a frame as internal/batch lays
+// it out: kind and body, each uvarint-prefixed.
 func recFootprint(r batch.WireRec) int {
-	return uvarintLen(uint64(len(r.Kind))) + len(r.Kind) +
-		uvarintLen(uint64(len(r.Body))) + len(r.Body)
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
+	return wire.SizeString(r.Kind) + wire.SizeBytes(r.Body)
 }

@@ -132,12 +132,11 @@ func init() {
 
 // acceptLoop admits peer connections until the listener closes.
 func (t *Transport) acceptLoop() {
-	defer t.wg.Done()
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
 			select {
-			case <-t.done:
+			case <-t.Done():
 				return
 			default:
 			}
@@ -150,16 +149,13 @@ func (t *Transport) acceptLoop() {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		if !t.trackConn(conn) {
+		if !t.trackConn(conn) || !t.Go(func() { t.handleInbound(conn) }) {
 			return
 		}
-		t.wg.Add(1)
-		go t.handleInbound(conn)
 	}
 }
 
 func (t *Transport) handleInbound(conn net.Conn) {
-	defer t.wg.Done()
 	defer t.untrackConn(conn)
 	defer conn.Close()
 	h, err := t.handshake(conn, false)
@@ -191,18 +187,9 @@ func (t *Transport) handshake(conn net.Conn, dialer bool) (hello, error) {
 	return h, t.writeHello(conn)
 }
 
-func (t *Transport) writeHello(conn net.Conn) error {
-	t.mu.RLock()
-	h := hello{
-		Version: wire.Version,
-		Gen:     t.cfg.Generation,
-		Nodes:   make([]ids.NodeID, 0, len(t.local)),
-		Groups:  t.localGroupsLocked(),
-	}
-	for n := range t.local {
-		h.Nodes = append(h.Nodes, n)
-	}
-	t.mu.RUnlock()
+func (t *Transport) writeHello(conn io.Writer) error {
+	h := hello{Version: wire.Version, Gen: t.cfg.Generation, Nodes: t.Nodes()}
+	h.Groups = t.localGroups(h.Nodes)
 	sort.Slice(h.Nodes, func(i, j int) bool { return h.Nodes[i] < h.Nodes[j] })
 
 	e := wire.Enc{Buf: make([]byte, 4, 128)}
@@ -221,7 +208,7 @@ func (t *Transport) writeHello(conn net.Conn) error {
 	return err
 }
 
-func (t *Transport) readHello(conn net.Conn) (hello, error) {
+func (t *Transport) readHello(conn io.Reader) (hello, error) {
 	frame, err := readFrame(conn, nil)
 	if err != nil {
 		return hello{}, err
@@ -303,7 +290,7 @@ func (t *Transport) handleRecord(r batch.WireRec) {
 	fromRaw, toRaw, clsRaw := d.Uvarint(), d.Uvarint(), d.Uvarint()
 	payload := d.Value()
 	if d.Err() != nil || !d.Done() || fromRaw > math.MaxUint32 || toRaw > math.MaxUint32 || clsRaw > math.MaxUint8 {
-		t.ctrDropped.Add(1)
+		t.Drop(1)
 		t.logf("tcptransport: corrupt %q record: %v", r.Kind, d.Err())
 		return
 	}
@@ -312,26 +299,21 @@ func (t *Transport) handleRecord(r batch.WireRec) {
 	case kindHello:
 		return // late hello: already handshaken, ignore
 	case kindGroup:
-		if u, ok := payload.(groupUpdate); ok {
-			t.mu.Lock()
-			t.applyGroupLocked(u.Group, u.Node, u.Leave)
-			t.mu.Unlock()
+		if u, ok := payload.(groupUpdate); ok && u.Leave {
+			t.Pipeline.LeaveGroup(u.Group, u.Node)
+		} else if ok {
+			t.Pipeline.JoinGroup(u.Group, u.Node)
 		}
 		return
 	}
-	t.mu.RLock()
-	ep := t.local[to]
-	severed := t.cut[[2]ids.NodeID{from, to}] || t.crashed[from] || t.crashed[to]
-	closed := t.closed
-	t.mu.RUnlock()
-	if closed || ep == nil || severed {
-		t.ctrDropped.Add(1)
+	if _, severed, err := t.Route(from, to); err != nil || severed {
+		t.Drop(1)
 		return
 	}
-	// QoS admission may reject here (deliver counts the drop); the sender's
-	// reliable layer retransmits, so shedding a socket arrival is loss, not
-	// deadlock.
-	t.deliver(ep, transport.Message{
+	// Deliver drops (and counts) a record for a node this process does not
+	// host. QoS admission may reject here too; the sender's reliable layer
+	// retransmits, so shedding a socket arrival is loss, not deadlock.
+	t.Deliver(transport.Message{
 		From: from, To: to, Kind: r.Kind, Payload: payload, Size: recFootprint(r),
 		Class: transport.Class(clsRaw),
 	})

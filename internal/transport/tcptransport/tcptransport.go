@@ -26,36 +26,28 @@
 // message its encoded record footprint. E14 compares these measured
 // costs against the simulator's estimates.
 //
-// The FaultInjector surface is implemented with process-local view:
-// CrashNode/CutLink/SetDropRate filter traffic entering and leaving
-// *this* process, which is what single-process multi-System tests need.
-// A real multi-process chaos test kills the process instead.
+// The node side — attached nodes, dispatch shards, the cut/crash/drop
+// table, accounting — is transport.Pipeline, shared with netsim. Its
+// FaultInjector surface therefore has a process-local view here:
+// CrashNode/CutLink/SetDropRate filter traffic entering and leaving *this*
+// process, which is what single-process multi-System tests need. A real
+// multi-process chaos test kills the process instead.
 package tcptransport
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/transport/qdisc"
-)
-
-// Common transport errors.
-var (
-	ErrClosed       = errors.New("tcptransport: transport closed")
-	ErrUnknownNode  = errors.New("tcptransport: unknown node")
-	ErrUnknownGroup = errors.New("tcptransport: unknown multicast group")
 )
 
 // Tunable defaults; see Config.
@@ -64,7 +56,6 @@ const (
 	DefaultHandshakeTimeout = 5 * time.Second
 	DefaultRetryBase        = 50 * time.Millisecond
 	DefaultRetryMax         = 2 * time.Second
-	DefaultQueueDepth       = 1024
 
 	// maxFrame bounds one length-prefixed frame on the wire; a peer
 	// announcing more is treated as corrupt and disconnected.
@@ -126,77 +117,24 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// endpoint is one locally-hosted node: its handler and sender-sharded
-// dispatch queues, exactly netsim's shape. With QoS on, qs holds the
-// classful queues and inboxes stays nil.
-type endpoint struct {
-	node    ids.NodeID
-	inboxes []chan transport.Message
-	qs      []*qdisc.Queue
-	handler transport.Handler
-	done    chan struct{}
-}
-
-func (ep *endpoint) shard(from ids.NodeID) chan transport.Message {
-	if len(ep.inboxes) == 1 {
-		return ep.inboxes[0]
-	}
-	return ep.inboxes[uint64(from)%uint64(len(ep.inboxes))]
-}
-
-func (ep *endpoint) shardQ(from ids.NodeID) *qdisc.Queue {
-	if len(ep.qs) == 1 {
-		return ep.qs[0]
-	}
-	return ep.qs[uint64(from)%uint64(len(ep.qs))]
-}
-
-// kindCounters is the interned per-kind wire counter pair (netsim keeps
-// the identical cache so both transports account identically).
-type kindCounters struct {
-	msgs  *atomic.Int64
-	bytes *atomic.Int64
-}
-
 // Transport is a live TCP transport. Create with New, attach local nodes
 // with Attach, then Start. All methods are safe for concurrent use.
 type Transport struct {
-	cfg      Config
-	reg      *metrics.Registry
-	workers  int
-	qos      bool
-	qosDepth int
-	ln       net.Listener
+	*transport.Pipeline
+	cfg Config
+	ln  net.Listener
 
-	ctrSent      *atomic.Int64
-	ctrDelivered *atomic.Int64
-	ctrDropped   *atomic.Int64
-	ctrBytes     *atomic.Int64
-	ctrBroadcast *atomic.Int64
-	ctrMulticast *atomic.Int64
-	kindCtrs     sync.Map // message kind -> *kindCounters
-
-	mu      sync.RWMutex
-	local   map[ids.NodeID]*endpoint
-	peers   map[ids.NodeID]string
-	links   map[string]*link // remote address -> outbound link
-	groups  map[string]map[ids.NodeID]bool
-	cut     map[[2]ids.NodeID]bool
-	crashed map[ids.NodeID]bool
-	started bool
-	closed  bool
+	mu    sync.RWMutex
+	peers map[ids.NodeID]string
+	links map[string]*link // remote address -> outbound link
 
 	// Open sockets (dialed and accepted), tracked so Close can unblock
 	// every reader and writer immediately.
 	connMu sync.Mutex
 	conns  map[net.Conn]bool
 
-	dropRate atomic.Uint64 // float64 bits; SetDropRate
-	rngMu    sync.Mutex
-	rng      *rand.Rand
-
-	done chan struct{}
-	wg   sync.WaitGroup
+	rngMu sync.Mutex
+	rng   *rand.Rand
 }
 
 // New opens the listener and returns a Transport ready for Attach. The
@@ -219,50 +157,30 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = DefaultRetryMax
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	workers := cfg.DispatchWorkers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
-	} else if workers < 0 {
-		workers = 1
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("tcptransport: listen %s: %w", cfg.Listen, err)
 	}
-	qosDepth := cfg.QoS.Depth
-	if qosDepth <= 0 {
-		qosDepth = cfg.QueueDepth
-	}
 	t := &Transport{
-		cfg:          cfg,
-		reg:          reg,
-		workers:      workers,
-		qos:          cfg.QoS.Enabled,
-		qosDepth:     qosDepth,
-		ln:           ln,
-		ctrSent:      reg.Counter(metrics.CtrMsgSent),
-		ctrDelivered: reg.Counter(metrics.CtrMsgDelivered),
-		ctrDropped:   reg.Counter(metrics.CtrMsgDropped),
-		ctrBytes:     reg.Counter(metrics.CtrMsgBytes),
-		ctrBroadcast: reg.Counter(metrics.CtrBroadcast),
-		ctrMulticast: reg.Counter(metrics.CtrMulticast),
-		local:        make(map[ids.NodeID]*endpoint),
-		peers:        make(map[ids.NodeID]string),
-		links:        make(map[string]*link),
-		groups:       make(map[string]map[ids.NodeID]bool),
-		cut:          make(map[[2]ids.NodeID]bool),
-		crashed:      make(map[ids.NodeID]bool),
-		conns:        make(map[net.Conn]bool),
-		rng:          rand.New(rand.NewSource(1)),
-		done:         make(chan struct{}),
+		cfg:   cfg,
+		ln:    ln,
+		peers: make(map[ids.NodeID]string),
+		links: make(map[string]*link),
+		conns: make(map[net.Conn]bool),
+		rng:   rand.New(rand.NewSource(1)),
 	}
+	t.Pipeline = transport.NewPipeline(transport.PipelineConfig{
+		Workers:    workers,
+		QueueDepth: cfg.QueueDepth,
+		Metrics:    cfg.Metrics,
+		QoS:        cfg.QoS,
+		NewQueue:   qdisc.NewShard,
+		Remote:     func(n ids.NodeID) bool { _, ok := t.peerAddr(n); return ok },
+	})
 	for n, addr := range cfg.Peers {
 		t.peers[n] = addr
 	}
@@ -274,11 +192,11 @@ func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
 // SetPeers replaces the node → address map. Must be called before Start.
 func (t *Transport) SetPeers(peers map[ids.NodeID]string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.started {
+	if t.Started() {
 		return errors.New("tcptransport: SetPeers after Start")
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.peers = make(map[ids.NodeID]string, len(peers))
 	for n, addr := range peers {
 		t.peers[n] = addr
@@ -286,119 +204,17 @@ func (t *Transport) SetPeers(peers map[ids.NodeID]string) error {
 	return nil
 }
 
-// Metrics returns the registry accounting this transport's traffic.
-func (t *Transport) Metrics() *metrics.Registry { return t.reg }
-
-// DispatchWorkers returns the resolved per-node dispatch parallelism.
-func (t *Transport) DispatchWorkers() int { return t.workers }
-
-// Attach registers a locally-hosted node with its message handler.
-// Attach must be called before Start.
-func (t *Transport) Attach(node ids.NodeID, h transport.Handler) error {
-	if !node.IsValid() {
-		return fmt.Errorf("tcptransport: attach: %v is not a valid node", node)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.started {
-		return errors.New("tcptransport: attach after Start")
-	}
-	if _, dup := t.local[node]; dup {
-		return fmt.Errorf("tcptransport: node %v already attached", node)
-	}
-	ep := &endpoint{node: node, handler: h, done: make(chan struct{})}
-	if t.qos {
-		ep.qs = make([]*qdisc.Queue, t.workers)
-		for i := range ep.qs {
-			ep.qs[i] = qdisc.New(&t.cfg.QoS, t.qosDepth, t.reg, func(transport.Message) { t.ctrDropped.Add(1) })
-		}
-	} else {
-		ep.inboxes = make([]chan transport.Message, t.workers)
-		for i := range ep.inboxes {
-			ep.inboxes[i] = make(chan transport.Message, t.cfg.QueueDepth)
-		}
-	}
-	t.local[node] = ep
-	return nil
+func (t *Transport) peerAddr(n ids.NodeID) (string, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	addr, ok := t.peers[n]
+	return addr, ok
 }
 
 // Start launches the accept loop and the dispatch goroutines.
 func (t *Transport) Start() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.started || t.closed {
-		return
-	}
-	t.started = true
-	for _, ep := range t.local {
-		if t.qos {
-			for i := range ep.qs {
-				t.wg.Add(1)
-				go t.dispatchQ(ep, ep.qs[i])
-			}
-		} else {
-			for i := range ep.inboxes {
-				t.wg.Add(1)
-				go t.dispatch(ep, ep.inboxes[i])
-			}
-		}
-	}
-	t.wg.Add(1)
-	go t.acceptLoop()
-}
-
-func (t *Transport) dispatch(ep *endpoint, inbox chan transport.Message) {
-	defer t.wg.Done()
-	for {
-		select {
-		case <-ep.done:
-			return
-		case m := <-inbox:
-			t.ctrDelivered.Add(1)
-			if ep.handler != nil {
-				ep.handler(m)
-			}
-		}
-	}
-}
-
-// dispatchQ is dispatch over a classful qdisc: the queue's Pop applies
-// strict priority for system/control and DWRR across tenant classes.
-func (t *Transport) dispatchQ(ep *endpoint, q *qdisc.Queue) {
-	defer t.wg.Done()
-	for {
-		m, ok := q.Pop(ep.done)
-		if !ok {
-			return
-		}
-		t.ctrDelivered.Add(1)
-		if ep.handler != nil {
-			ep.handler(m)
-		}
-	}
-}
-
-// kindCountersFor returns the interned counter pair for a message kind.
-func (t *Transport) kindCountersFor(kind string) *kindCounters {
-	if kc, ok := t.kindCtrs.Load(kind); ok {
-		return kc.(*kindCounters)
-	}
-	kc := &kindCounters{
-		msgs:  t.reg.Counter(metrics.KindMsgs(kind)),
-		bytes: t.reg.Counter(metrics.KindBytes(kind)),
-	}
-	actual, _ := t.kindCtrs.LoadOrStore(kind, kc)
-	return actual.(*kindCounters)
-}
-
-// chargeSend accounts one departing message of the given wire size.
-func (t *Transport) chargeSend(kind string, size int) {
-	t.ctrSent.Add(1)
-	t.ctrBytes.Add(int64(size))
-	if kind != "" {
-		kc := t.kindCountersFor(kind)
-		kc.msgs.Add(1)
-		kc.bytes.Add(int64(size))
+	if t.Pipeline.Start() {
+		t.Go(t.acceptLoop)
 	}
 }
 
@@ -412,129 +228,69 @@ func (t *Transport) chargeSend(kind string, size int) {
 // additionally returns transport.ErrBackpressure (socket arrivals shed
 // silently instead — the reliable layer retransmits).
 func (t *Transport) Send(m transport.Message) error {
-	t.mu.RLock()
-	if t.closed {
-		t.mu.RUnlock()
-		return ErrClosed
+	local, severed, err := t.Route(m.From, m.To)
+	if err != nil {
+		return err
 	}
-	severed := t.cut[[2]ids.NodeID{m.From, m.To}] || t.crashed[m.From] || t.crashed[m.To]
-	ep := t.local[m.To]
-	addr, known := t.peers[m.To]
-	t.mu.RUnlock()
-
-	if ep != nil {
-		return t.postLocal(ep, m, severed)
+	lost := severed || t.roll()
+	if local {
+		// Never touches a socket; sized by estimate, as on netsim, since
+		// nothing is encoded.
+		return t.Post(m, lost)
 	}
+	addr, known := t.peerAddr(m.To)
 	if !known {
-		return fmt.Errorf("%w: %v", ErrUnknownNode, m.To)
+		return fmt.Errorf("%w: %v", transport.ErrUnknownNode, m.To)
 	}
-	if severed || t.roll() {
-		// Account like netsim's post: the message departed (estimated
-		// size — it is never encoded) and was dropped on the floor.
-		size := m.Size
-		if size == 0 {
-			size = transport.PayloadSize(m.Payload)
-		}
-		t.chargeSend(m.Kind, size)
-		t.ctrDropped.Add(1)
+	if lost {
+		t.dropUnsent(m)
 		return nil
 	}
 	l := t.linkFor(addr)
 	if l == nil {
-		return ErrClosed
+		return transport.ErrClosed
 	}
 	select {
 	case l.out <- m:
 	default:
 		// Queue full: the peer is down or drowning. Drop — the reliable
 		// envelope retransmits after the link recovers.
-		size := m.Size
-		if size == 0 {
-			size = transport.PayloadSize(m.Payload)
-		}
-		t.chargeSend(m.Kind, size)
-		t.ctrDropped.Add(1)
+		t.dropUnsent(m)
 	}
 	return nil
 }
 
-// postLocal delivers to a locally-attached node without touching a
-// socket; sizes are estimates, as in netsim, since nothing is encoded.
-// Its only possible error is a QoS admission reject.
-func (t *Transport) postLocal(ep *endpoint, m transport.Message, severed bool) error {
-	if m.Size == 0 {
-		m.Size = transport.PayloadSize(m.Payload)
+// dropUnsent accounts a remote message lost before it reached the socket:
+// it departed (at its estimated size — it is never encoded) and was
+// dropped on the floor.
+func (t *Transport) dropUnsent(m transport.Message) {
+	size := m.Size
+	if size == 0 {
+		size = transport.PayloadSize(m.Payload)
 	}
-	if fin, ok := m.Payload.(batch.Finalizer); ok {
-		m.Payload = fin.FinalizeFlush()
-	}
-	t.chargeSend(m.Kind, m.Size)
-	if severed || t.roll() {
-		t.ctrDropped.Add(1)
-		return nil
-	}
-	if !t.deliver(ep, m) {
-		return transport.ErrBackpressure
-	}
-	return nil
-}
-
-// deliver hands m to its destination shard. The FIFO path blocks for
-// backpressure (but never past close); the QoS path never blocks — it
-// reports false when admission rejects the message, counting it dropped.
-func (t *Transport) deliver(ep *endpoint, m transport.Message) bool {
-	if t.qos {
-		if !ep.shardQ(m.From).Offer(m) {
-			t.ctrDropped.Add(1)
-			return false
-		}
-		return true
-	}
-	select {
-	case ep.shard(m.From) <- m:
-	case <-ep.done:
-	case <-t.done:
-	}
-	return true
-}
-
-// nodes returns every node this transport can address: locally attached
-// ones plus everything in the peer map.
-func (t *Transport) nodesLocked() []ids.NodeID {
-	seen := make(map[ids.NodeID]bool, len(t.local)+len(t.peers))
-	out := make([]ids.NodeID, 0, len(t.local)+len(t.peers))
-	for n := range t.local {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for n := range t.peers {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
+	t.ChargeSend(m.Kind, size)
+	t.Drop(1)
 }
 
 // Broadcast sends payload from the sender to every other node in the
 // cluster (local and remote alike).
 func (t *Transport) Broadcast(from ids.NodeID, kind string, payload any) error {
-	t.mu.RLock()
-	if t.closed {
-		t.mu.RUnlock()
-		return ErrClosed
+	if err := t.BeginBroadcast(); err != nil {
+		return err
 	}
-	targets := t.nodesLocked()
-	t.mu.RUnlock()
-	t.ctrBroadcast.Add(1)
-	for _, n := range targets {
-		if n == from {
-			continue
+	targets := t.Nodes()
+	t.mu.RLock()
+	for n := range t.peers {
+		if !t.Attached(n) {
+			targets = append(targets, n)
 		}
-		// Broadcasts are kernel plumbing (membership, probes): ClassSystem.
-		_ = t.Send(transport.Message{From: from, To: n, Kind: kind, Payload: payload, Class: transport.ClassSystem})
+	}
+	t.mu.RUnlock()
+	for _, n := range targets {
+		if n != from {
+			// Broadcasts are kernel plumbing (membership, probes): ClassSystem.
+			_ = t.Send(transport.Message{From: from, To: n, Kind: kind, Payload: payload, Class: transport.ClassSystem})
+		}
 	}
 	return nil
 }
@@ -542,21 +298,10 @@ func (t *Transport) Broadcast(from ids.NodeID, kind string, payload any) error {
 // Multicast sends payload to every member of group (including the sender
 // if it is a member), per this process's view of the membership.
 func (t *Transport) Multicast(from ids.NodeID, group, kind string, payload any) error {
-	t.mu.RLock()
-	if t.closed {
-		t.mu.RUnlock()
-		return ErrClosed
+	members, err := t.BeginMulticast(group)
+	if err != nil {
+		return err
 	}
-	g, ok := t.groups[group]
-	members := make([]ids.NodeID, 0, len(g))
-	for n := range g {
-		members = append(members, n)
-	}
-	t.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownGroup, group)
-	}
-	t.ctrMulticast.Add(1)
 	for _, n := range members {
 		_ = t.Send(transport.Message{From: from, To: n, Kind: kind, Payload: payload, Class: transport.ClassSystem})
 	}
@@ -568,66 +313,38 @@ func (t *Transport) Multicast(from ids.NodeID, group, kind string, payload any) 
 // peer process (incrementally now, and in the connection handshake's
 // snapshot for peers that connect later).
 func (t *Transport) JoinGroup(group string, node ids.NodeID) {
-	t.updateGroup(group, node, false)
+	t.Pipeline.JoinGroup(group, node)
+	t.replicateGroup(groupUpdate{Group: group, Node: node})
 }
 
 // LeaveGroup removes node from the named multicast group.
 func (t *Transport) LeaveGroup(group string, node ids.NodeID) {
-	t.updateGroup(group, node, true)
+	t.Pipeline.LeaveGroup(group, node)
+	t.replicateGroup(groupUpdate{Group: group, Node: node, Leave: true})
 }
 
-func (t *Transport) updateGroup(group string, node ids.NodeID, leave bool) {
-	t.mu.Lock()
-	t.applyGroupLocked(group, node, leave)
-	_, isLocal := t.local[node]
-	replicate := isLocal && t.started && !t.closed
-	t.mu.Unlock()
-	if replicate {
-		// Group membership rides the normal message path as a transport-
-		// internal control record, so it shares ordering with the data
-		// stream toward each peer.
-		_ = t.Broadcast(node, kindGroup, groupUpdate{Group: group, Node: node, Leave: leave})
+// replicateGroup announces a membership change of a locally-hosted node to
+// every peer process. It rides the normal message path as a transport-
+// internal control record, so it shares ordering with the data stream
+// toward each peer.
+func (t *Transport) replicateGroup(u groupUpdate) {
+	if t.Attached(u.Node) && t.Started() {
+		_ = t.Broadcast(u.Node, kindGroup, u)
 	}
 }
 
-func (t *Transport) applyGroupLocked(group string, node ids.NodeID, leave bool) {
-	if leave {
-		if g, ok := t.groups[group]; ok {
-			delete(g, node)
-			if len(g) == 0 {
-				delete(t.groups, group)
-			}
-		}
-		return
+// localGroups snapshots the groups containing locally-hosted nodes — the
+// slice of the membership this process is authoritative for, announced in
+// connection handshakes.
+func (t *Transport) localGroups(local []ids.NodeID) map[string][]ids.NodeID {
+	hosted := make(map[ids.NodeID]bool, len(local))
+	for _, n := range local {
+		hosted[n] = true
 	}
-	g, ok := t.groups[group]
-	if !ok {
-		g = make(map[ids.NodeID]bool)
-		t.groups[group] = g
-	}
-	g[node] = true
-}
-
-// GroupMembers returns this process's current view of the group.
-func (t *Transport) GroupMembers(group string) []ids.NodeID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	g := t.groups[group]
-	out := make([]ids.NodeID, 0, len(g))
-	for n := range g {
-		out = append(out, n)
-	}
-	return out
-}
-
-// localGroupsLocked snapshots the groups containing locally-hosted
-// nodes — the slice of the membership this process is authoritative for,
-// announced in connection handshakes.
-func (t *Transport) localGroupsLocked() map[string][]ids.NodeID {
 	out := make(map[string][]ids.NodeID)
-	for g, set := range t.groups {
-		for n := range set {
-			if _, isLocal := t.local[n]; isLocal {
+	for g, members := range t.Groups() {
+		for _, n := range members {
+			if hosted[n] {
 				out[g] = append(out[g], n)
 			}
 		}
@@ -635,30 +352,30 @@ func (t *Transport) localGroupsLocked() map[string][]ids.NodeID {
 	return out
 }
 
-// mergePeerGroups applies a peer's authoritative snapshot: drop every
-// membership we recorded for that peer's nodes, then re-add what the
-// snapshot lists. Incremental updates keep it current afterwards.
+// mergePeerGroups applies a peer's authoritative snapshot for the nodes it
+// hosts: memberships the snapshot no longer lists are dropped, the ones it
+// lists are (re-)added. A membership that stays valid is never removed in
+// between, so a concurrent Multicast cannot miss it. Incremental updates
+// keep the view current afterwards.
 func (t *Transport) mergePeerGroups(peerNodes []ids.NodeID, snapshot map[string][]ids.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	owned := make(map[ids.NodeID]bool, len(peerNodes))
 	for _, n := range peerNodes {
 		owned[n] = true
 	}
-	for g, set := range t.groups {
-		for n := range set {
-			if owned[n] {
-				delete(set, n)
-			}
-		}
-		if len(set) == 0 {
-			delete(t.groups, g)
-		}
-	}
+	listed := make(map[string]map[ids.NodeID]bool, len(snapshot))
 	for g, members := range snapshot {
+		listed[g] = make(map[ids.NodeID]bool, len(members))
 		for _, n := range members {
 			if owned[n] {
-				t.applyGroupLocked(g, n, false)
+				listed[g][n] = true
+				t.Pipeline.JoinGroup(g, n)
+			}
+		}
+	}
+	for g, members := range t.Groups() {
+		for _, n := range members {
+			if owned[n] && !listed[g][n] {
+				t.Pipeline.LeaveGroup(g, n)
 			}
 		}
 	}
@@ -674,16 +391,14 @@ func (t *Transport) linkFor(addr string) *link {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
 	if l = t.links[addr]; l != nil {
 		return l
 	}
-	l = &link{t: t, addr: addr, out: make(chan transport.Message, t.cfg.QueueDepth), kick: make(chan struct{}, 1)}
+	l = &link{t: t, addr: addr, out: make(chan transport.Message, t.QueueDepth()), kick: make(chan struct{}, 1)}
+	if !t.Go(l.run) {
+		return nil
+	}
 	t.links[addr] = l
-	t.wg.Add(1)
-	go l.run()
 	return l
 }
 
@@ -720,7 +435,7 @@ func (t *Transport) trackConn(c net.Conn) bool {
 	t.connMu.Lock()
 	defer t.connMu.Unlock()
 	select {
-	case <-t.done:
+	case <-t.Done():
 		c.Close()
 		return false
 	default:
@@ -742,33 +457,14 @@ func (t *Transport) untrackConn(c net.Conn) {
 // abandons the wait and returns ctx.Err(); the transport is still
 // closed, but a slow handler may finish after Close returns.
 func (t *Transport) Close(ctx context.Context) error {
-	t.mu.Lock()
-	if !t.closed {
-		t.closed = true
-		for _, ep := range t.local {
-			close(ep.done)
-		}
-		close(t.done)
-	}
-	t.mu.Unlock()
+	t.Shutdown()
 	t.ln.Close()
 	t.connMu.Lock()
 	for c := range t.conns {
 		c.Close()
 	}
 	t.connMu.Unlock()
-	if ctx.Done() == nil {
-		t.wg.Wait()
-		return nil
-	}
-	drained := make(chan struct{})
-	go func() { t.wg.Wait(); close(drained) }()
-	select {
-	case <-drained:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return t.Wait(ctx)
 }
 
 // roll reports whether the injected drop rate claims this message.
@@ -780,86 +476,6 @@ func (t *Transport) roll() bool {
 	t.rngMu.Lock()
 	defer t.rngMu.Unlock()
 	return t.rng.Float64() < rate
-}
-
-// DropRate returns the current injected drop probability.
-func (t *Transport) DropRate() float64 {
-	return math.Float64frombits(t.dropRate.Load())
-}
-
-// SetDropRate changes the injected drop probability for subsequent
-// sends leaving this process.
-func (t *Transport) SetDropRate(rate float64) {
-	if rate < 0 {
-		rate = 0
-	}
-	t.dropRate.Store(math.Float64bits(rate))
-}
-
-// CutLink severs the directed link from → to as seen by this process:
-// departing and arriving messages on the pair are dropped.
-func (t *Transport) CutLink(from, to ids.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.cut[[2]ids.NodeID{from, to}] = true
-}
-
-// HealLink restores a severed directed link.
-func (t *Transport) HealLink(from, to ids.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.cut, [2]ids.NodeID{from, to})
-}
-
-// Partition severs every link between the two node sets, in both
-// directions, as seen by this process.
-func (t *Transport) Partition(sideA, sideB []ids.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, a := range sideA {
-		for _, b := range sideB {
-			t.cut[[2]ids.NodeID{a, b}] = true
-			t.cut[[2]ids.NodeID{b, a}] = true
-		}
-	}
-}
-
-// HealAll restores every severed link.
-func (t *Transport) HealAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.cut = make(map[[2]ids.NodeID]bool)
-}
-
-// CrashNode fail-stops node as seen by this process: traffic to and
-// from it — outbound and inbound — is dropped until RestartNode.
-func (t *Transport) CrashNode(node ids.NodeID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.crashed[node] {
-		return fmt.Errorf("tcptransport: node %v is already crashed", node)
-	}
-	t.crashed[node] = true
-	return nil
-}
-
-// RestartNode brings a crashed node back: subsequent traffic flows.
-func (t *Transport) RestartNode(node ids.NodeID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.crashed[node] {
-		return fmt.Errorf("tcptransport: node %v is not crashed", node)
-	}
-	delete(t.crashed, node)
-	return nil
-}
-
-// Crashed reports whether node is currently fail-stopped in this
-// process's view.
-func (t *Transport) Crashed(node ids.NodeID) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.crashed[node]
 }
 
 func (t *Transport) logf(format string, args ...any) {

@@ -436,10 +436,10 @@ func TestSendAfterCloseFails(t *testing.T) {
 	if err := ta.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ta.Send(transport.Message{From: 1, To: 2, Kind: "k", Payload: "x"}); err != ErrClosed {
+	if err := ta.Send(transport.Message{From: 1, To: 2, Kind: "k", Payload: "x"}); err != transport.ErrClosed {
 		t.Fatalf("Send after Close = %v, want ErrClosed", err)
 	}
-	if err := ta.Send(transport.Message{From: 1, To: 99, Kind: "k", Payload: "x"}); err != ErrClosed {
+	if err := ta.Send(transport.Message{From: 1, To: 99, Kind: "k", Payload: "x"}); err != transport.ErrClosed {
 		t.Fatalf("Send after Close = %v, want ErrClosed", err)
 	}
 }

@@ -7,9 +7,10 @@
 // every test and experiment boots by default) and
 // internal/transport/tcptransport (real TCP sockets with the
 // internal/transport/wire binary codec, used by cmd/doctnode for
-// multi-process clusters). The kernel cannot tell them apart: both deliver
-// FIFO per (sender, receiver) pair, both account net.msg.*/net.bytes
-// metrics, and both honor the Close drain contract.
+// multi-process clusters). The kernel cannot tell them apart, because the
+// node side of both is the same code — Pipeline (node.go): FIFO delivery
+// per (sender, receiver) pair, net.msg.* accounting, fault injection and
+// the Close drain contract. Each implementation adds only its link.
 package transport
 
 import (
@@ -168,10 +169,9 @@ type Transport interface {
 	Close(ctx context.Context) error
 }
 
-// FaultInjector is the optional fault-injection surface. The simulated
-// transport implements all of it; real transports may implement a subset
-// (tcptransport supports CrashNode/RestartNode by dropping connections and
-// refusing traffic, but cannot cut a kernel's view of a real link).
+// FaultInjector is the optional fault-injection surface. Pipeline
+// implements it for every transport; on tcptransport the view is
+// process-local (it filters what enters and leaves this process).
 // Callers type-assert and degrade gracefully.
 type FaultInjector interface {
 	// CutLink severs the directed link from → to: messages on it are
@@ -204,12 +204,6 @@ type DirectedFaultInjector interface {
 	// directed link from → to; the effective rate for a send is the
 	// maximum of this and the global SetDropRate. Rate <= 0 clears it.
 	SetDropRateDirected(from, to ids.NodeID, rate float64)
-	// CutLinkDirected severs the directed link from → to (synonym of
-	// FaultInjector.CutLink, which is already one-directional; named so
-	// callers reading only this interface see the direction contract).
-	CutLinkDirected(from, to ids.NodeID)
-	// HealLinkDirected restores a severed directed link.
-	HealLinkDirected(from, to ids.NodeID)
 }
 
 // Batcher is the optional coalescing probe: transports that batch sends

@@ -637,18 +637,21 @@ func registerMiscCodecs() {
 		func(d *Dec) dsm.MetaReq { return dsm.MetaReq{Seg: ids.SegmentID(d.Uvarint())} })
 	Register(idPageReq, "dsm.PageReq",
 		func(v dsm.PageReq) int {
-			return SizeUvarint(uint64(v.Seg)) + SizeVarint(int64(v.Page)) + SizeUvarint(uint64(v.From))
+			return SizeUvarint(uint64(v.Seg)) + SizeVarint(int64(v.Page)) + SizeUvarint(uint64(v.From)) +
+				SizeUvarint(v.Grants)
 		},
 		func(e *Enc, v dsm.PageReq) {
 			e.Uvarint(uint64(v.Seg))
 			e.Varint(int64(v.Page))
 			e.Uvarint(uint64(v.From))
+			e.Uvarint(v.Grants)
 		},
 		func(d *Dec) dsm.PageReq {
 			return dsm.PageReq{
-				Seg:  ids.SegmentID(d.Uvarint()),
-				Page: int(d.Varint()),
-				From: decNodeID(d),
+				Seg:    ids.SegmentID(d.Uvarint()),
+				Page:   int(d.Varint()),
+				From:   decNodeID(d),
+				Grants: d.Uvarint(),
 			}
 		})
 	// PageReply distinguishes nil Data ("your copy is usable") from a real
@@ -656,21 +659,23 @@ func registerMiscCodecs() {
 	Register(idPageReply, "dsm.PageReply",
 		func(v dsm.PageReply) int {
 			if v.Data == nil {
-				return 1
+				return SizeUvarint(v.Grant) + 1
 			}
-			return 1 + SizeBytes(v.Data)
+			return SizeUvarint(v.Grant) + 1 + SizeBytes(v.Data)
 		},
 		func(e *Enc, v dsm.PageReply) {
+			e.Uvarint(v.Grant)
 			e.Bool(v.Data != nil)
 			if v.Data != nil {
 				e.Bytes(v.Data)
 			}
 		},
 		func(d *Dec) dsm.PageReply {
-			if !d.Bool() {
-				return dsm.PageReply{}
+			r := dsm.PageReply{Grant: d.Uvarint()}
+			if d.Bool() {
+				r.Data = d.Bytes()
 			}
-			return dsm.PageReply{Data: d.Bytes()}
+			return r
 		})
 	Register(idMeta, "dsm.Meta",
 		func(v dsm.Meta) int {

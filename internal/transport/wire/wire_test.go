@@ -109,8 +109,8 @@ func samples() map[string]any {
 		},
 		"reliable.Ack":    reliable.Ack{Seq: 9, Cum: 9},
 		"dsm.MetaReq":     dsm.MetaReq{Seg: 4},
-		"dsm.PageReq":     dsm.PageReq{Seg: 4, Page: 2, From: 6},
-		"dsm.PageReply":   dsm.PageReply{Data: []byte{1, 2, 3, 4}},
+		"dsm.PageReq":     dsm.PageReq{Seg: 4, Page: 2, From: 6, Grants: 3},
+		"dsm.PageReply":   dsm.PageReply{Data: []byte{1, 2, 3, 4}, Grant: 3},
 		"dsm.Meta":        dsm.Meta{ID: 4, Size: 8192, PageSize: 1024, UserPaged: true},
 		"*dsm.FaultError": &dsm.FaultError{Seg: 4, Page: 3, Write: true},
 
