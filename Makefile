@@ -163,8 +163,10 @@ loc:
 
 # lint-imports keeps the transport seam closed: internal/reliable and
 # internal/transport (the interface, the node pipeline, the codec) may not
-# import a fabric, and in internal/core only core.go — the default-fabric
-# constructor — may import netsim.
+# import a fabric, in internal/core only core.go — the default-fabric
+# constructor — may import netsim, the wire codec imports neither the
+# transport nor the reliable layer, and no non-test Go outside bench/ names
+# a size estimate (WireSize, PayloadSize, Sizer) next to the codec.
 lint-imports:
 	bash scripts/lint-imports.sh
 

@@ -55,7 +55,7 @@ var runners = []struct {
 	{"e11", "delta attribute propagation (DESIGN.md §8)", func() experiments.Table { return experiments.RunE11(nil) }},
 	{"e12", "sustained-throughput event pipeline (DESIGN.md §10)", func() experiments.Table { return experiments.RunE12(0) }},
 	{"e13", "per-link batch coalescing sweep (DESIGN.md §11)", func() experiments.Table { return experiments.RunE13(0) }},
-	{"e14", "real TCP wire bytes vs simulated estimate (DESIGN.md §12)", func() experiments.Table { return experiments.RunE14(0) }},
+	{"e14", "real TCP wire bytes vs simulated bytes, one codec (DESIGN.md §12)", func() experiments.Table { return experiments.RunE14(0) }},
 	{"e15", "multi-tenant QoS isolation under a noisy neighbor (DESIGN.md §15)", func() experiments.Table { return experiments.RunE15(0) }},
 	{"e16", "cluster scaling: hash placement + tree fan-out (DESIGN.md §13)", func() experiments.Table { return experiments.RunE16(nil) }},
 	{"e17", "durable objects: WAL overhead + crash recovery (DESIGN.md §14)", func() experiments.Table { return experiments.RunE17(0) }},

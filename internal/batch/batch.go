@@ -11,7 +11,7 @@
 //
 //   - Frame/Rec: the in-process batch the netsim fabric ships directly.
 //     Payloads stay live Go values (the fabric is an in-memory simulation),
-//     but WireSize charges exactly what the binary codec below would
+//     but Footprint charges exactly what the binary codec below would
 //     produce for the same record sizes.
 //   - AppendFrame/DecodeFrame: the append-only binary codec over opaque
 //     record bodies — the image of the frame on a real transport, used for
@@ -27,9 +27,10 @@ import (
 )
 
 // Rec is one logical message riding in a frame. Size is the record body's
-// wire footprint, fixed when the record is appended: the sender still
-// solely owns the payload at that point, while at flush time the receiver
-// of an earlier copy could already be mutating it.
+// encoded size under the wire codec (transport.Message.Size), fixed when
+// the record is appended: the sender still solely owns the payload at that
+// point, while at flush time the receiver of an earlier copy could already
+// be mutating it.
 type Rec struct {
 	Kind    string
 	Payload any
@@ -59,8 +60,7 @@ type Rider interface {
 	RidesOnly()
 }
 
-// Frame is a batch of records bound for one peer. It implements the
-// fabric's Sizer, charging the exact binary-codec footprint.
+// Frame is a batch of records bound for one peer.
 type Frame struct {
 	recs  []Rec
 	bytes int // sum of per-record encoded footprints (framing included)
@@ -83,9 +83,9 @@ func (fr *Frame) Bytes() int { return fr.bytes }
 // frame; callers must not retain it past Put.
 func (fr *Frame) Recs() []Rec { return fr.recs }
 
-// WireSize is the frame's exact wire footprint: the record-count header
+// Footprint is the frame's exact wire footprint: the record-count header
 // plus every record's varint-framed kind and body.
-func (fr *Frame) WireSize() int {
+func (fr *Frame) Footprint() int {
 	return uvarintLen(uint64(len(fr.recs))) + fr.bytes
 }
 

@@ -9,8 +9,6 @@ import (
 // sizedPayload stands in for a protocol payload with a known wire size.
 type sizedPayload struct{ n int }
 
-func (p *sizedPayload) WireSize() int { return p.n }
-
 // finPayload flips to its finalized form when the frame flushes.
 type finPayload struct{ finalized bool }
 
@@ -34,8 +32,8 @@ func TestFrameWireSizeMatchesCodec(t *testing.T) {
 			wire = append(wire, WireRec{Kind: r.Kind, Body: make([]byte, r.Size)})
 		}
 		encoded := AppendFrame(nil, wire)
-		if fr.WireSize() != len(encoded) {
-			t.Errorf("recs %v: Frame.WireSize = %d, encoded length = %d", recs, fr.WireSize(), len(encoded))
+		if fr.Footprint() != len(encoded) {
+			t.Errorf("recs %v: Frame.Footprint = %d, encoded length = %d", recs, fr.Footprint(), len(encoded))
 		}
 		if EncodedSize(wire) != len(encoded) {
 			t.Errorf("recs %v: EncodedSize = %d, encoded length = %d", recs, EncodedSize(wire), len(encoded))

@@ -67,8 +67,8 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		for _, r := range recs {
 			fr.Append(Rec{Kind: r.Kind, Size: len(r.Body)})
 		}
-		if fr.WireSize() != len(enc) {
-			t.Fatalf("Frame.WireSize = %d, encoded length = %d", fr.WireSize(), len(enc))
+		if fr.Footprint() != len(enc) {
+			t.Fatalf("Frame.Footprint = %d, encoded length = %d", fr.Footprint(), len(enc))
 		}
 		Put(fr)
 		dec, err := DecodeFrame(nil, enc)

@@ -680,21 +680,9 @@ type handlerRunReq struct {
 	Attrs *thread.Attributes
 }
 
-// WireSize charges the block and attributes.
-func (r handlerRunReq) WireSize() int { return 32 + r.EB.WireSize() + r.Attrs.WireSize() }
-
 type handlerRunReply struct {
 	Verdict event.Verdict
 	Attrs   *thread.Attributes
-}
-
-// WireSize charges the attributes.
-func (r handlerRunReply) WireSize() int {
-	size := 16
-	if r.Attrs != nil {
-		size += r.Attrs.WireSize()
-	}
-	return size
 }
 
 // serveHandlerRun executes a handler method at this node on behalf of a
@@ -783,9 +771,6 @@ func (k *Kernel) release(rel releaseReq) {
 type objectEventReq struct {
 	EB *event.Block
 }
-
-// WireSize charges the block.
-func (r objectEventReq) WireSize() int { return 16 + r.EB.WireSize() }
 
 // objectEventReply returns the handler's verdict for synchronous raises.
 type objectEventReply struct {

@@ -39,9 +39,6 @@ type dirUpdate struct {
 	Remove bool
 }
 
-// WireSize charges the two identifiers plus the flag.
-func (dirUpdate) WireSize() int { return 14 }
-
 // directory is one node's shard of the residency directory.
 type directory struct {
 	mu sync.Mutex

@@ -66,15 +66,6 @@ type fanoutReq struct {
 	Assign [][]ids.ThreadID
 }
 
-// WireSize charges the block, the layout and the assignments.
-func (r *fanoutReq) WireSize() int {
-	size := 32 + r.EB.WireSize() + 4*len(r.Nodes)
-	for _, tids := range r.Assign {
-		size += 8 * len(tids)
-	}
-	return size
-}
-
 // fanoutKey identifies one fan-out for the dedup window.
 type fanoutKey struct {
 	root ids.NodeID

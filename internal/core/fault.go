@@ -23,9 +23,6 @@ const kindGossip = "k.fd.gossip"
 // gossipFrame wraps the canonical gossip encoding for the fabric.
 type gossipFrame struct{ Data []byte }
 
-// WireSize charges the encoded bytes plus a small header.
-func (g gossipFrame) WireSize() int { return 8 + len(g.Data) }
-
 // FTConfig parameterizes the crash-fault-tolerance subsystem: a gossip
 // failure detector per node (internal/failure), an ack/retry envelope
 // around all kernel RPC traffic (internal/reliable), and the kernel

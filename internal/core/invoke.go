@@ -27,21 +27,6 @@ type invokeReq struct {
 	Depth int
 }
 
-// WireSize charges the attribute encoding plus a rough argument estimate.
-func (r invokeReq) WireSize() int {
-	size := 48 + len(r.Entry)
-	if r.Attrs != nil {
-		size += r.Attrs.WireSize()
-	}
-	if r.Delta != nil {
-		size += r.Delta.WireSize()
-	}
-	for _, a := range r.Args {
-		size += argSize(a)
-	}
-	return size
-}
-
 // invokeReply returns results and the callee's view of the attributes so
 // handler attachments made downstream persist (§4.1). Replies always fit a
 // Delta in delta mode: the caller necessarily holds the base — it is the
@@ -53,32 +38,6 @@ type invokeReply struct {
 	// AppErr is the entry's own error return; kernel-level failures
 	// (termination, abort) travel as the RPC error instead.
 	AppErr error
-}
-
-// WireSize charges the attribute encoding plus a rough result estimate.
-func (r invokeReply) WireSize() int {
-	size := 48
-	if r.Attrs != nil {
-		size += r.Attrs.WireSize()
-	}
-	if r.Delta != nil {
-		size += r.Delta.WireSize()
-	}
-	for _, a := range r.Results {
-		size += argSize(a)
-	}
-	return size
-}
-
-func argSize(a any) int {
-	switch v := a.(type) {
-	case []byte:
-		return len(v)
-	case string:
-		return len(v)
-	default:
-		return 16
-	}
 }
 
 // invoke moves the calling thread into obj's entry (§2). Invocation

@@ -57,9 +57,6 @@ type rpcRequest struct {
 	Body any
 }
 
-// WireSize charges the body's size plus a small header.
-func (r rpcRequest) WireSize() int { return 32 + payloadSize(r.Body) }
-
 // rpcResponse carries the reply. Errors travel as values: the fabric is an
 // in-process simulation, so sentinel identity is preserved across "nodes".
 type rpcResponse struct {
@@ -67,13 +64,6 @@ type rpcResponse struct {
 	Body any
 	Err  error
 }
-
-// WireSize charges the body's size plus a small header.
-func (r rpcResponse) WireSize() int { return 32 + payloadSize(r.Body) }
-
-// payloadSize delegates to the fabric's canonical estimator so every layer
-// charges nested payloads identically.
-func payloadSize(p any) int { return transport.PayloadSize(p) }
 
 // Kernel is one node's DO/CT kernel.
 type Kernel struct {
@@ -578,16 +568,10 @@ type pageOpReq struct {
 	Data []byte
 }
 
-// WireSize charges the page payload.
-func (r pageOpReq) WireSize() int { return 24 + len(r.Data) }
-
 type pageFetchReply struct {
 	Data  []byte
 	Found bool
 }
-
-// WireSize charges the page payload.
-func (r pageFetchReply) WireSize() int { return 24 + len(r.Data) }
 
 // probeLocal answers a thread-location probe from this node's TCBs.
 func (k *Kernel) probeLocal(tid ids.ThreadID) locate.ProbeResult {

@@ -20,15 +20,6 @@ type ObjectImage struct {
 	KV   map[string]any
 }
 
-// WireSize charges the segment contents.
-func (img ObjectImage) WireSize() int {
-	size := 32 + len(img.Name) + len(img.Data)
-	for k := range img.KV {
-		size += len(k) + 16
-	}
-	return size
-}
-
 // Passivate captures the object's passive image and removes it from its
 // home node (after posting DELETE so its handler can clean up). The
 // returned image can be handed to Activate.

@@ -132,10 +132,3 @@ func TestActivateSizeMismatch(t *testing.T) {
 		t.Fatal("Activate with oversized image succeeded")
 	}
 }
-
-func TestObjectImageWireSize(t *testing.T) {
-	img := ObjectImage{Name: "x", Data: make([]byte, 100), KV: map[string]any{"ab": 1}}
-	if img.WireSize() <= 100 {
-		t.Fatalf("WireSize = %d", img.WireSize())
-	}
-}

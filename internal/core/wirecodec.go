@@ -62,10 +62,6 @@ const (
 
 func init() {
 	wire.Register(widRPCRequest, "core.rpcRequest",
-		func(r rpcRequest) int {
-			return wire.SizeUvarint(r.ID) + wire.SizeString(r.Kind) +
-				wire.SizeUvarint(uint64(r.From)) + wire.SizeValue(r.Body)
-		},
 		func(e *wire.Enc, r rpcRequest) {
 			e.Uvarint(r.ID)
 			e.String(r.Kind)
@@ -81,9 +77,6 @@ func init() {
 			}
 		})
 	wire.Register(widRPCResponse, "core.rpcResponse",
-		func(r rpcResponse) int {
-			return wire.SizeUvarint(r.ID) + wire.SizeValue(r.Body) + wsizeErr(r.Err)
-		},
 		func(e *wire.Enc, r rpcResponse) {
 			e.Uvarint(r.ID)
 			e.Value(r.Body)
@@ -95,13 +88,9 @@ func init() {
 	wire.Register(widGossipFrame, "core.gossipFrame",
 		// The payload is already the gossip codec's canonical encoding
 		// (internal/failure); the wire layer ships it opaquely.
-		func(g gossipFrame) int { return wire.SizeBytes(g.Data) },
 		func(e *wire.Enc, g gossipFrame) { e.Bytes(g.Data) },
 		func(d *wire.Dec) gossipFrame { return gossipFrame{Data: d.Bytes()} })
 	wire.Register(widDirUpdate, "core.dirUpdate",
-		func(u dirUpdate) int {
-			return wire.SizeUvarint(uint64(u.TID)) + wire.SizeUvarint(uint64(u.Node)) + 1
-		},
 		func(e *wire.Enc, u dirUpdate) {
 			e.Uvarint(uint64(u.TID))
 			e.Uvarint(uint64(u.Node))
@@ -115,26 +104,25 @@ func init() {
 			}
 		})
 	wire.Register(widFanoutReq, "core.fanoutReq",
-		func(r *fanoutReq) int {
-			size := wire.SizeUvarint(r.ID) + wire.SizeUvarint(uint64(r.Root)) +
-				wire.SizeVarint(int64(r.K)) + wire.SizeUvarint(uint64(r.GID)) +
-				wire.SizeValue(r.EB) + wire.SizeValue(r.Nodes) +
-				wire.SizeUvarint(uint64(len(r.Assign)))
-			for _, tids := range r.Assign {
-				size += wire.SizeValue(tids)
-			}
-			return size
-		},
+		// The layout and the assignments are flat uvarint lists, not nested
+		// values: every relay sizes and ships the whole tree, so a boxed
+		// value per member would be the cost of the hop.
 		func(e *wire.Enc, r *fanoutReq) {
 			e.Uvarint(r.ID)
 			e.Uvarint(uint64(r.Root))
 			e.Varint(int64(r.K))
 			e.Uvarint(uint64(r.GID))
 			e.Value(r.EB)
-			e.Value(r.Nodes)
+			e.Uvarint(uint64(len(r.Nodes)))
+			for _, n := range r.Nodes {
+				e.Uvarint(uint64(n))
+			}
 			e.Uvarint(uint64(len(r.Assign)))
 			for _, tids := range r.Assign {
-				e.Value(tids)
+				e.Uvarint(uint64(len(tids)))
+				for _, tid := range tids {
+					e.Uvarint(uint64(tid))
+				}
 			}
 		},
 		func(d *wire.Dec) *fanoutReq {
@@ -145,22 +133,24 @@ func init() {
 				GID:  ids.GroupID(d.Uvarint()),
 				EB:   wdecBlock(d),
 			}
-			r.Nodes = wdecNodeIDs(d)
 			n := d.Count(1)
-			r.Assign = make([][]ids.ThreadID, 0, n)
+			r.Nodes = make([]ids.NodeID, 0, n)
 			for i := 0; i < n; i++ {
-				r.Assign = append(r.Assign, wdecThreadIDs(d))
-				if d.Err() != nil {
-					return r
+				r.Nodes = append(r.Nodes, ids.NodeID(d.Uvarint()))
+			}
+			n = d.Count(1)
+			r.Assign = make([][]ids.ThreadID, 0, n)
+			for i := 0; i < n && d.Err() == nil; i++ {
+				m := d.Count(1)
+				tids := make([]ids.ThreadID, 0, m)
+				for j := 0; j < m; j++ {
+					tids = append(tids, ids.ThreadID(d.Uvarint()))
 				}
+				r.Assign = append(r.Assign, tids)
 			}
 			return r
 		})
 	wire.Register(widReleaseReq, "core.releaseReq",
-		func(r releaseReq) int {
-			return wire.SizeUvarint(r.ID) + wire.SizeUvarint(uint64(r.Verdict)) +
-				1 + wsizeErr(r.Err)
-		},
 		func(e *wire.Enc, r releaseReq) {
 			e.Uvarint(r.ID)
 			e.Uvarint(uint64(r.Verdict))
@@ -176,11 +166,6 @@ func init() {
 			}
 		})
 	wire.Register(widInvokeReq, "core.invokeReq",
-		func(r invokeReq) int {
-			return wire.SizeUvarint(uint64(r.TID)) + wire.SizeValue(r.Attrs) +
-				wire.SizeValue(r.Delta) + wire.SizeUvarint(uint64(r.Obj)) +
-				wire.SizeString(r.Entry) + wsizeAnys(r.Args) + wire.SizeVarint(int64(r.Depth))
-		},
 		func(e *wire.Enc, r invokeReq) {
 			e.Uvarint(uint64(r.TID))
 			e.Value(r.Attrs)
@@ -202,10 +187,6 @@ func init() {
 			}
 		})
 	wire.Register(widInvokeReply, "core.invokeReply",
-		func(r invokeReply) int {
-			return wsizeAnys(r.Results) + wire.SizeValue(r.Attrs) +
-				wire.SizeValue(r.Delta) + wsizeErr(r.AppErr)
-		},
 		func(e *wire.Enc, r invokeReply) {
 			wencAnys(e, r.Results)
 			e.Value(r.Attrs)
@@ -221,11 +202,9 @@ func init() {
 			}
 		})
 	wire.Register(widObjectEventReq, "core.objectEventReq",
-		func(r objectEventReq) int { return wire.SizeValue(r.EB) },
 		func(e *wire.Enc, r objectEventReq) { e.Value(r.EB) },
 		func(d *wire.Dec) objectEventReq { return objectEventReq{EB: wdecBlock(d)} })
 	wire.Register(widObjectEventRep, "core.objectEventReply",
-		func(r objectEventReply) int { return wire.SizeUvarint(uint64(r.Verdict)) + 1 },
 		func(e *wire.Enc, r objectEventReply) {
 			e.Uvarint(uint64(r.Verdict))
 			e.Bool(r.Consumed)
@@ -234,9 +213,6 @@ func init() {
 			return objectEventReply{Verdict: event.Verdict(d.Uvarint()), Consumed: d.Bool()}
 		})
 	wire.Register(widHandlerRunReq, "core.handlerRunReq",
-		func(r handlerRunReq) int {
-			return wire.SizeValue(r.Ref) + wire.SizeValue(r.EB) + wire.SizeValue(r.Attrs)
-		},
 		func(e *wire.Enc, r handlerRunReq) {
 			e.Value(r.Ref)
 			e.Value(r.EB)
@@ -246,9 +222,6 @@ func init() {
 			return handlerRunReq{Ref: wdecRef(d), EB: wdecBlock(d), Attrs: wdecAttrs(d)}
 		})
 	wire.Register(widHandlerRunRep, "core.handlerRunReply",
-		func(r handlerRunReply) int {
-			return wire.SizeUvarint(uint64(r.Verdict)) + wire.SizeValue(r.Attrs)
-		},
 		func(e *wire.Enc, r handlerRunReply) {
 			e.Uvarint(uint64(r.Verdict))
 			e.Value(r.Attrs)
@@ -257,9 +230,6 @@ func init() {
 			return handlerRunReply{Verdict: event.Verdict(d.Uvarint()), Attrs: wdecAttrs(d)}
 		})
 	wire.Register(widAbortReq, "core.abortReq",
-		func(r abortReq) int {
-			return wire.SizeUvarint(uint64(r.TID)) + wire.SizeUvarint(uint64(r.Obj))
-		},
 		func(e *wire.Enc, r abortReq) {
 			e.Uvarint(uint64(r.TID))
 			e.Uvarint(uint64(r.Obj))
@@ -268,9 +238,6 @@ func init() {
 			return abortReq{TID: ids.ThreadID(d.Uvarint()), Obj: ids.ObjectID(d.Uvarint())}
 		})
 	wire.Register(widGroupJoinReq, "core.groupJoinReq",
-		func(r groupJoinReq) int {
-			return wire.SizeUvarint(uint64(r.Group)) + wire.SizeUvarint(uint64(r.Thread)) + 1
-		},
 		func(e *wire.Enc, r groupJoinReq) {
 			e.Uvarint(uint64(r.Group))
 			e.Uvarint(uint64(r.Thread))
@@ -284,10 +251,6 @@ func init() {
 			}
 		})
 	wire.Register(widKVReq, "core.kvReq",
-		func(r kvReq) int {
-			return wire.SizeUvarint(uint64(r.Object)) + wire.SizeString(r.Key) +
-				wire.SizeValue(r.Val) + wire.SizeValue(r.Old)
-		},
 		func(e *wire.Enc, r kvReq) {
 			e.Uvarint(uint64(r.Object))
 			e.String(r.Key)
@@ -303,17 +266,12 @@ func init() {
 			}
 		})
 	wire.Register(widKVReply, "core.kvReply",
-		func(r kvReply) int { return wire.SizeValue(r.Val) + 1 },
 		func(e *wire.Enc, r kvReply) {
 			e.Value(r.Val)
 			e.Bool(r.Found)
 		},
 		func(d *wire.Dec) kvReply { return kvReply{Val: d.Value(), Found: d.Bool()} })
 	wire.Register(widPageOpReq, "core.pageOpReq",
-		func(r pageOpReq) int {
-			return wire.SizeUvarint(uint64(r.Seg)) + wire.SizeVarint(int64(r.Page)) +
-				wsizeBytesNil(r.Data)
-		},
 		func(e *wire.Enc, r pageOpReq) {
 			e.Uvarint(uint64(r.Seg))
 			e.Varint(int64(r.Page))
@@ -327,7 +285,6 @@ func init() {
 			}
 		})
 	wire.Register(widPageFetchReply, "core.pageFetchReply",
-		func(r pageFetchReply) int { return wsizeBytesNil(r.Data) + 1 },
 		func(e *wire.Enc, r pageFetchReply) {
 			wencBytesNil(e, r.Data)
 			e.Bool(r.Found)
@@ -341,9 +298,6 @@ func init() {
 	// vocabulary so replay decodes with the same self-describing codec the
 	// transport uses, and the roundtrip tests cover them for free.
 	wire.Register(widWALObjSet, "core.walObjSet",
-		func(r walObjSet) int {
-			return wire.SizeString(r.Obj) + wire.SizeString(r.Key) + wire.SizeValue(r.Val)
-		},
 		func(e *wire.Enc, r walObjSet) {
 			e.String(r.Obj)
 			e.String(r.Key)
@@ -353,14 +307,9 @@ func init() {
 			return walObjSet{Obj: d.String(), Key: d.String(), Val: d.Value()}
 		})
 	wire.Register(widWALAttrVer, "core.walAttrVer",
-		func(r walAttrVer) int { return wire.SizeUvarint(r.Ver) },
 		func(e *wire.Enc, r walAttrVer) { e.Uvarint(r.Ver) },
 		func(d *wire.Dec) walAttrVer { return walAttrVer{Ver: d.Uvarint()} })
 	wire.Register(widWALWindow, "core.walWindow",
-		func(r walWindow) int {
-			return wire.SizeUvarint(uint64(r.Peer)) + wire.SizeUvarint(r.Gen) +
-				wire.SizeUvarint(r.Seq) + wire.SizeUvarint(r.Cum)
-		},
 		func(e *wire.Enc, r walWindow) {
 			e.Uvarint(uint64(r.Peer))
 			e.Uvarint(r.Gen)
@@ -376,21 +325,9 @@ func init() {
 			}
 		})
 	wire.Register(widWALObjDel, "core.walObjDel",
-		func(r walObjDel) int { return wire.SizeString(r.Obj) },
 		func(e *wire.Enc, r walObjDel) { e.String(r.Obj) },
 		func(d *wire.Dec) walObjDel { return walObjDel{Obj: d.String()} })
 	wire.Register(widWALSnapshot, "core.walSnapshot",
-		func(r walSnapshot) int {
-			size := wire.SizeUvarint(r.AttrVer) + wire.SizeUvarint(uint64(len(r.Objects))) +
-				wire.SizeUvarint(uint64(len(r.Windows)))
-			for _, img := range r.Objects {
-				size += wire.SizeString(img.Name) + wire.SizeValue(img.KV)
-			}
-			for _, w := range r.Windows {
-				size += wsizePeerWindow(w)
-			}
-			return size
-		},
 		func(e *wire.Enc, r walSnapshot) {
 			e.Uvarint(r.AttrVer)
 			e.Uvarint(uint64(len(r.Objects)))
@@ -444,13 +381,6 @@ func wencErr(err error) any {
 		return nil
 	}
 	return err
-}
-
-func wsizeErr(err error) int {
-	if err == nil {
-		return 1
-	}
-	return wire.SizeValue(err)
 }
 
 // wdecErr reads an error-or-nil value slot.
@@ -509,32 +439,6 @@ func wdecBlock(d *wire.Dec) *event.Block {
 	return b
 }
 
-func wdecNodeIDs(d *wire.Dec) []ids.NodeID {
-	v := d.Value()
-	if v == nil {
-		return nil
-	}
-	ns, ok := v.([]ids.NodeID)
-	if !ok {
-		d.Corrupt("node list slot holds wrong type")
-		return nil
-	}
-	return ns
-}
-
-func wdecThreadIDs(d *wire.Dec) []ids.ThreadID {
-	v := d.Value()
-	if v == nil {
-		return nil
-	}
-	ts, ok := v.([]ids.ThreadID)
-	if !ok {
-		d.Corrupt("thread list slot holds wrong type")
-		return nil
-	}
-	return ts
-}
-
 func wdecRef(d *wire.Dec) event.HandlerRef {
 	v := d.Value()
 	r, ok := v.(event.HandlerRef)
@@ -543,17 +447,6 @@ func wdecRef(d *wire.Dec) event.HandlerRef {
 		return event.HandlerRef{}
 	}
 	return r
-}
-
-func wsizeAnys(vs []any) int {
-	if vs == nil {
-		return 1
-	}
-	n := 1 + wire.SizeUvarint(uint64(len(vs)))
-	for _, v := range vs {
-		n += wire.SizeValue(v)
-	}
-	return n
 }
 
 func wencAnys(e *wire.Enc, vs []any) {
@@ -584,16 +477,6 @@ func wdecAnys(d *wire.Dec) []any {
 
 // PeerWindow is nested inside walSnapshot; it never travels standalone,
 // so it is hand-encoded inline instead of owning a type id.
-
-func wsizePeerWindow(w reliable.PeerWindow) int {
-	size := wire.SizeUvarint(uint64(w.Peer)) + wire.SizeUvarint(w.Gen) +
-		wire.SizeUvarint(w.Cum) + wire.SizeUvarint(w.Max) +
-		wire.SizeUvarint(w.NextSeq) + wire.SizeUvarint(uint64(len(w.Seen)))
-	for _, s := range w.Seen {
-		size += wire.SizeUvarint(s)
-	}
-	return size
-}
 
 func wencPeerWindow(e *wire.Enc, w reliable.PeerWindow) {
 	e.Uvarint(uint64(w.Peer))
@@ -637,13 +520,6 @@ func wdecKV(d *wire.Dec) map[string]any {
 		return nil
 	}
 	return kv
-}
-
-func wsizeBytesNil(b []byte) int {
-	if b == nil {
-		return 1
-	}
-	return 1 + wire.SizeBytes(b)
 }
 
 func wencBytesNil(e *wire.Enc, b []byte) {

@@ -52,7 +52,7 @@ func codecSamples() map[string]any {
 		// A release crosses the wire one-way: the payload of a reliable
 		// envelope, not the body of an rpcRequest.
 		"releaseOneWay": reliable.Envelope{
-			Seq: 3, Gen: 1, Kind: kindEvRelease, AckCum: 2, Size: 40,
+			Seq: 3, Gen: 1, Kind: kindEvRelease, AckCum: 2,
 			Payload: releaseReq{ID: 4, Verdict: event.VerdictTerminate, Consumed: true, Err: ErrThreadNotFound},
 		},
 		"invokeReq": invokeReq{
@@ -138,6 +138,32 @@ func TestCoreWireCodecRoundTrip(t *testing.T) {
 		}
 		if string(re) != string(enc) {
 			t.Errorf("%s: re-encode not byte-identical", name)
+		}
+	}
+}
+
+// TestEncodedSizeAllocatesNothing pins that the size oracle is free: every
+// send on either link (and every reliable Send) counts its payload, and
+// tcp_allocs_per_op is gated at 5 %.
+func TestEncodedSizeAllocatesNothing(t *testing.T) {
+	attrs := codecSampleAttrs()
+	for name, v := range map[string]any{
+		"block with a user map": &event.Block{
+			Name: event.Interrupt, Target: event.ToThread(ids.NewThreadID(1, 4)),
+			User: map[string]any{"reason": "test", "count": 7, "frac": 0.5},
+		},
+		"attributes with handlers and per-thread data": attrs,
+		"envelope carrying an rpcRequest": reliable.Envelope{
+			Seq: 3, Gen: 1, Kind: msgRPCReq, AckCum: 2,
+			Payload: rpcRequest{ID: 9, Kind: kindInvoke, From: 2,
+				Body: invokeReq{TID: ids.NewThreadID(2, 2), Attrs: attrs, Obj: ids.NewObjectID(1, 1), Entry: "get", Args: []any{"k", 42}}},
+		},
+	} {
+		if _, err := wire.EncodedSize(v); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(200, func() { wire.EncodedSize(v) }); n != 0 {
+			t.Errorf("%s: EncodedSize allocates %.1f times per call, want 0", name, n)
 		}
 	}
 }

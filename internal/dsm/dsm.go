@@ -214,9 +214,6 @@ type PageReply struct {
 	Grant uint64
 }
 
-// WireSize charges the actual page payload.
-func (r PageReply) WireSize() int { return 16 + len(r.Data) }
-
 // Config parameterizes a Manager.
 type Config struct {
 	Node      ids.NodeID

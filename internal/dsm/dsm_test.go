@@ -602,13 +602,6 @@ func TestWriteReadRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestPageReplyWireSize(t *testing.T) {
-	r := PageReply{Data: make([]byte, 100)}
-	if r.WireSize() != 116 {
-		t.Errorf("WireSize = %d, want 116", r.WireSize())
-	}
-}
-
 func TestWriteUpgradeRelinquishesRemoteOwner(t *testing.T) {
 	// Build the state where the writer already holds a shared copy and the
 	// owner is a third (remote) node: the directory must make that owner

@@ -224,18 +224,6 @@ func (b *Block) Clone() *Block {
 	return &nb
 }
 
-// WireSize estimates the block's network footprint for message accounting.
-func (b *Block) WireSize() int {
-	size := 64 + len(b.Name)
-	if b.State != nil {
-		size += 48
-	}
-	for k := range b.User {
-		size += len(k) + 16
-	}
-	return size
-}
-
 // Verdict is a handler's decision about the suspended thread (§3: "After
 // the handler finishes executing, the suspended thread is resumed or
 // terminated").
@@ -442,6 +430,10 @@ func (c *Chain) Merge(other *Chain) {
 		c.links[i] = l.CloneData()
 	}
 }
+
+// At returns the i-th link, oldest first, without copying the chain
+// (0 <= i < Len()).
+func (c *Chain) At(i int) HandlerRef { return c.links[i] }
 
 // Links returns a copy of the raw chain, oldest first. For diagnostics.
 func (c *Chain) Links() []HandlerRef {

@@ -95,14 +95,6 @@ func TestBlockCloneNilFields(t *testing.T) {
 	}
 }
 
-func TestBlockWireSizeGrowsWithContent(t *testing.T) {
-	small := (&Block{Name: Timer}).WireSize()
-	big := (&Block{Name: Timer, State: &ThreadState{}, User: map[string]any{"abc": 1, "def": 2}}).WireSize()
-	if big <= small {
-		t.Errorf("WireSize: big %d <= small %d", big, small)
-	}
-}
-
 func TestHandlerRefValidate(t *testing.T) {
 	oid := ids.NewObjectID(1, 1)
 	cases := []struct {

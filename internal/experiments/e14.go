@@ -13,27 +13,26 @@ import (
 	"repro/internal/transport/tcptransport"
 )
 
-// E14 — real wire cost vs simulated estimate (DESIGN.md §12). Every
-// earlier experiment prices the fabric with netsim's PayloadSize
-// estimator; E14 reruns the two canonical workloads over real loopback
-// TCP sockets — one System per node, every cross-node message through
-// the binary wire codec — where net.msg.bytes counts the bytes actually
-// handed to the kernel socket (record footprints plus frame overhead).
-// The ×sim column is the honesty check on five PRs of simulated byte
-// accounting: the acceptance bound is real ≤ 2× estimate.
+// E14 — the cross-transport byte check (DESIGN.md §12). Both links charge
+// a message what the wire codec writes for it; E14 runs the two canonical
+// workloads over netsim and over real loopback TCP sockets — one System per
+// node, every cross-node message through the binary wire codec — where
+// net.msg.bytes counts record footprints plus the frame's record count. The
+// payload bytes are the same figure on both, so the ×sim column is the
+// price of TCP's per-record header and nothing else.
 
 // e14Ops is the default per-workload operation count.
 const e14Ops = 200
 
 // RunE14 measures both workloads over both fabrics and reports the real
-// TCP cost per operation next to the simulator's estimate.
+// TCP cost per operation next to the simulator's.
 func RunE14(ops int) Table {
 	if ops == 0 {
 		ops = e14Ops
 	}
 	t := Table{
 		ID:    "E14",
-		Title: "real TCP wire bytes vs simulated estimate (DESIGN.md §12)",
+		Title: "real TCP wire bytes vs simulated bytes, one codec (DESIGN.md §12)",
 		Headers: []string{
 			"workload", "ops", "msgs", "wire B/op", "sim B/op", "×sim",
 		},
@@ -54,15 +53,15 @@ func RunE14(ops int) Table {
 	}
 	t.Notes = append(t.Notes,
 		"2 nodes, FT off; invoke = 200 synchronous no-op round trips node 1 → node 2, raise = 200 async interrupts at a remote sink.",
-		"tcp rows boot one System per node over loopback sockets (internal/transport/tcptransport); wire B counts bytes written to the socket, frame overhead included.",
-		"sim B is netsim's PayloadSize estimate for the identical workload; ×sim = real/estimate (acceptance bound: ≤ 2).",
+		"wire B boots one System per node over loopback sockets (internal/transport/tcptransport); sim B is netsim on the identical workload. Both charge wire.EncodedSize(payload) per message.",
+		"the residual is framing: a TCP record adds its kind, From/To/Class varints and two length prefixes (~14 B here); a netsim message adds its kind and one prefix only when it rides a coalesced frame (~10 B, about half of these messages).",
 	)
 	return t
 }
 
 // E14Cell runs one workload over one fabric and returns total fabric
 // bytes and messages. Exported so the acceptance test can check the
-// real/estimate ratio directly.
+// residual directly.
 func E14Cell(workload string, ops int, tcp bool) (bytes, msgs int64, err error) {
 	var (
 		systems map[ids.NodeID]*core.System

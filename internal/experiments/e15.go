@@ -36,7 +36,7 @@ func e15QoS() transport.QoSConfig {
 		Enabled: true,
 		Weights: map[transport.Class]int{1: 8, 2: 1},
 		Depth:   256,
-		// One workload event costs ~32 units (its WireSize), so a 32-unit
+		// One workload event costs 32 units (its Message.Size), so a 32-unit
 		// quantum serves B one event per DWRR round while A's weight lets
 		// it clear eight — with 1ms slow handlers, A waits at most ~1ms of
 		// B occupancy per round instead of the default quantum's ~32ms.

@@ -172,9 +172,6 @@ func (m *GossipMsg) Encode() []byte {
 	return b
 }
 
-// WireSize reports the encoded length for fabric byte accounting.
-func (m *GossipMsg) WireSize() int { return len(m.Encode()) }
-
 // DecodeGossip parses a canonical gossip message. Every deviation —
 // truncation, padded varints, out-of-range fields, trailing garbage —
 // is an error, never a panic, so the decoder can face a hostile or

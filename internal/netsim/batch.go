@@ -184,7 +184,7 @@ func (f *Fabric) batchSend(m Message, severed bool) {
 		return
 	}
 	if m.Size == 0 {
-		m.Size = transport.PayloadSize(m.Payload)
+		m.Size = transport.SizeOf(m.Payload)
 	}
 	// Inner records keep their per-kind accounting (charged here, at
 	// append) so traffic decomposition still works; the frame itself is
@@ -250,7 +250,7 @@ func (f *Fabric) flushLink(lb *linkBatch, cause *atomic.Int64) {
 	f.bat.ctrRecs.Add(int64(fr.Len()))
 	fr.Finalize()
 	_, severed, _ := f.Route(lb.from, lb.to)
-	f.post(Message{From: lb.from, To: lb.to, Kind: KindBatch, Payload: fr, Size: fr.WireSize(), Class: lb.class}, severed)
+	f.post(Message{From: lb.from, To: lb.to, Kind: KindBatch, Payload: fr, Size: fr.Footprint(), Class: lb.class}, severed)
 }
 
 // stopBatchTimers disarms every link's flush timer at Close. Pending

@@ -263,48 +263,36 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	}
 }
 
-func TestByteAccountingUsesSizer(t *testing.T) {
+// Both links charge a payload what the wire codec would write for it; a
+// payload without a codec is charged DefaultMessageSize unless its sender
+// set Message.Size.
+func TestByteAccountingChargesCodecSize(t *testing.T) {
+	type unsized struct{}
 	reg := metrics.NewRegistry()
 	f, cols := buildFabric(t, Config{Metrics: reg}, 2)
-	if err := f.Send(Message{From: 1, To: 2, Payload: sized(100)}); err != nil {
-		t.Fatal(err)
-	}
-	// A payload type PayloadSize knows nothing about falls back to the
-	// default message size.
-	if err := f.Send(Message{From: 1, To: 2, Payload: unsized{}}); err != nil {
-		t.Fatal(err)
-	}
-	cols[2].waitN(t, 2)
-	if got := reg.Get(metrics.CtrMsgBytes); got != 100+transport.DefaultMessageSize {
-		t.Fatalf("bytes = %d, want %d", got, 100+transport.DefaultMessageSize)
-	}
-}
-
-type sized int
-
-func (s sized) WireSize() int { return int(s) }
-
-type unsized struct{}
-
-func TestPayloadSizeEstimates(t *testing.T) {
-	cases := []struct {
-		payload any
-		want    int
+	want := 0
+	for _, c := range []struct {
+		m    Message
+		want int
 	}{
-		{nil, 0},
-		{sized(100), 100},
-		{[]byte("abc"), 11},
-		{"abcd", 12},
-		{true, 1},
-		{int64(7), 8},
-		{ids.NodeID(3), transport.DefaultMessageSize}, // named types fall back
-		{unsized{}, transport.DefaultMessageSize},
-	}
-	for _, c := range cases {
-		if got := transport.PayloadSize(c.payload); got != c.want {
-			t.Errorf("PayloadSize(%T %v) = %d, want %d", c.payload, c.payload, got, c.want)
+		{Message{Payload: nil}, 1},             // tag
+		{Message{Payload: []byte("abc")}, 5},   // tag, length, bytes
+		{Message{Payload: "abcd"}, 6},          // tag, length, bytes
+		{Message{Payload: int64(7)}, 2},        // tag, zigzag varint
+		{Message{Payload: ids.NodeID(300)}, 3}, // type tag, uvarint
+		{Message{Payload: unsized{}}, transport.DefaultMessageSize},
+		{Message{Payload: unsized{}, Size: 100}, 100},
+	} {
+		c.m.From, c.m.To = 1, 2
+		if err := f.Send(c.m); err != nil {
+			t.Fatal(err)
+		}
+		want += c.want
+		if got := reg.Get(metrics.CtrMsgBytes); got != int64(want) {
+			t.Fatalf("after %T: bytes = %d, want %d", c.m.Payload, got, want)
 		}
 	}
+	cols[2].waitN(t, 7)
 }
 
 func TestCloseIsIdempotent(t *testing.T) {

@@ -35,7 +35,7 @@ func TestBatchFlushSettlesAckDebt(t *testing.T) {
 	// Receive a data envelope from peer 2: we now owe an ack, and the
 	// AckDelay flush timer is armed.
 	e.Handle(netsim.Message{From: 2, To: 1, Kind: KindData,
-		Payload: Envelope{Seq: 1, Kind: "ping", Payload: "x", Size: 8}})
+		Payload: Envelope{Seq: 1, Kind: "ping", Payload: "x"}})
 
 	// Reverse-direction send. What hits the wire is the un-finalized
 	// pending form: the cumulative ack is stamped when the batch frame

@@ -156,22 +156,6 @@ type Envelope struct {
 	Kind    string // the inner protocol kind, e.g. "rpc.req"
 	Payload any
 	AckCum  uint64
-	// Size is the wire footprint, computed once at Send time while the
-	// sender still solely owns the payload. Retransmission must reuse it:
-	// after the first delivery the receiver may be mutating the (shared,
-	// in-process) payload, so re-walking it from the retry goroutine would
-	// race.
-	Size int
-}
-
-// WireSize charges the sequence header, the piggybacked ack field, and the
-// inner payload. Sizing delegates to transport.PayloadSize so nested structs
-// that implement Sizer are charged accurately instead of a flat constant.
-func (e Envelope) WireSize() int {
-	if e.Size > 0 {
-		return e.Size
-	}
-	return 24 + len(e.Kind) + transport.PayloadSize(e.Payload)
 }
 
 // Ack acknowledges receipt of envelopes: Seq is the specific envelope that
@@ -183,9 +167,6 @@ type Ack struct {
 	Seq uint64
 	Cum uint64
 }
-
-// WireSize charges a minimal ack frame (two seq fields + header).
-func (Ack) WireSize() int { return 20 }
 
 // RidesOnly implements batch.Rider: a standalone ack joins a pending frame
 // or ships bare, and never makes its link look busy to the next request.
@@ -372,32 +353,38 @@ func (e *Endpoint) SendClass(to ids.NodeID, kind string, payload any, class tran
 	p.seq++
 	seq := p.seq
 	p.pending[seq] = ackCh
+	cum := p.cum
 	p.mu.Unlock()
-	// Size the payload here, before the first copy can reach the receiver:
-	// retransmission attempts reuse this figure instead of re-walking a
-	// payload the receiver may by then be mutating.
-	size := 24 + len(kind) + transport.PayloadSize(payload)
-	go e.transmit(to, kind, payload, size, seq, class, ackCh)
+	// Size the envelope here, while the sender still solely owns the
+	// payload: after the first delivery the receiver may be mutating the
+	// (shared, in-process) payload, so every transmission rides this figure
+	// in Message.Size and none re-walks it. AckCum is stamped at departure,
+	// after sizing; the frontier known now stands in for it, which can be
+	// off by the difference of two varint lengths.
+	pe := pendingEnv{e: e, to: to, env: Envelope{
+		Seq: seq, Gen: e.cfg.Generation, Kind: kind, Payload: payload, AckCum: cum,
+	}}
+	go e.transmit(pe, transport.SizeOf(pe.env), class, ackCh)
 	return nil
 }
 
 // transmit drives one send's retry loop: (re)send, wait backoff for the
-// ack, double the backoff, repeat up to the attempt budget. Every attempt
-// rebuilds the envelope, and every copy reads its piggybacked ack at
-// departure (pendingEnv), so even a retransmitted or batch-delayed
-// envelope carries the receive frontier current when it hits the wire.
-func (e *Endpoint) transmit(to ids.NodeID, kind string, payload any, size int, seq uint64, class transport.Class, ackCh chan struct{}) {
+// ack, double the backoff, repeat up to the attempt budget. Every copy
+// reads its piggybacked ack at departure (pendingEnv), so even a
+// retransmitted or batch-delayed envelope carries the receive frontier
+// current when it hits the wire.
+func (e *Endpoint) transmit(pe pendingEnv, size int, class transport.Class, ackCh chan struct{}) {
 	defer e.wg.Done()
+	env := pe.env.(Envelope)
+	to, kind, payload, seq := pe.to, env.Kind, env.Payload, env.Seq
 	backoff := e.cfg.RetryBase
 	for attempt := 0; attempt < e.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			e.ctrRetry.Add(1)
 		}
 		err := e.send(transport.Message{
-			From: e.self, To: to, Kind: KindData, Class: class,
-			Payload: pendingEnv{e: e, to: to, env: Envelope{
-				Seq: seq, Gen: e.cfg.Generation, Kind: kind, Payload: payload, Size: size,
-			}},
+			From: e.self, To: to, Kind: KindData, Class: class, Size: size,
+			Payload: pe,
 		})
 		if err != nil && !errors.Is(err, transport.ErrBackpressure) {
 			// Structural failure (unknown node, fabric closed): retrying
@@ -437,19 +424,22 @@ func (e *Endpoint) transmit(to ids.NodeID, kind string, payload any, size int, s
 // standalone flushAck timer exactly when the frame that carries the
 // cumulative ack ships.
 type pendingEnv struct {
-	e   *Endpoint
-	to  ids.NodeID
-	env Envelope
+	e  *Endpoint
+	to ids.NodeID
+	// env is the Envelope as Send boxed and sized it, AckCum holding the
+	// frontier known then.
+	env any
 }
 
-// WireSize charges the finalized envelope's footprint (the ack field is
-// part of Envelope's fixed header either way).
-func (p pendingEnv) WireSize() int { return p.env.WireSize() }
-
 // FinalizeFlush implements batch.Finalizer: stamp the departure-time
-// cumulative ack and hand the bare Envelope to the wire.
+// cumulative ack and hand the bare Envelope to the wire. A frontier that has
+// not moved since Send ships the envelope boxed there as it is.
 func (p pendingEnv) FinalizeFlush() any {
-	p.env.AckCum = p.e.takePiggyback(p.to)
+	env := p.env.(Envelope)
+	if cum := p.e.takePiggyback(p.to); cum != env.AckCum {
+		env.AckCum = cum
+		return env
+	}
 	return p.env
 }
 

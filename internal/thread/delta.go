@@ -62,23 +62,6 @@ type Delta struct {
 // Unchanged reports whether the delta carries no edits at all.
 func (d *Delta) Unchanged() bool { return d.unchanged }
 
-// WireSize charges the delta header plus every carried edit.
-func (d *Delta) WireSize() int {
-	size := 40 // thread id + two versions + keep count + flag bits
-	size += 32 * len(d.ChainPush)
-	size += 16 * len(d.Timers)
-	if d.LabelsChanged {
-		size += 8 + len(d.IOChannel) + len(d.ConsistencyLabel)
-	}
-	for k, v := range d.PTSet {
-		size += len(k) + len(v)
-	}
-	for _, k := range d.PTDel {
-		size += len(k)
-	}
-	return size
-}
-
 // DiffAttrs computes the delta that rewrites base into cur. Both snapshots
 // must belong to the same thread; base is the state the receiver holds
 // (identified by base.Version), cur is the sender's current state. The

@@ -139,22 +139,3 @@ func TestApplySharesNothingWithBase(t *testing.T) {
 		t.Fatal("Apply aliased chain link data with base")
 	}
 }
-
-func TestDeltaWireSizeBeatsFullSnapshot(t *testing.T) {
-	base := deltaAttrs(ids.ThreadID(4))
-	for i := 0; i < 62; i++ {
-		base.Handlers.Push(event.HandlerRef{
-			Event: event.Interrupt, Kind: event.KindEntry,
-			Object: ids.ObjectID(5), Entry: "deep",
-		})
-	}
-	cur := base.Clone()
-	cur.Handlers.Push(event.HandlerRef{
-		Event: event.Alarm, Kind: event.KindEntry,
-		Object: ids.ObjectID(5), Entry: "tip",
-	})
-	d := DiffAttrs(base, cur)
-	if full, delta := cur.WireSize(), d.WireSize(); delta*10 > full {
-		t.Fatalf("delta %dB not ≪ full %dB for a one-push edit on a 64-deep chain", delta, full)
-	}
-}

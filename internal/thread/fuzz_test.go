@@ -74,9 +74,6 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		if err := attrsEquivalent(base, baseCopy); err != nil {
 			t.Fatalf("Apply mutated the base snapshot: %v\nscript=%x cut=%d", err, script, cut)
 		}
-		if d.WireSize() <= 0 {
-			t.Fatalf("non-positive wire size %d", d.WireSize())
-		}
 	})
 }
 

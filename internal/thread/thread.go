@@ -137,19 +137,6 @@ func (a *Attributes) MergeFrom(callee *Attributes) {
 	a.Version = callee.Version
 }
 
-// WireSize estimates the attributes' network footprint.
-func (a *Attributes) WireSize() int {
-	size := 64 + len(a.App) + len(a.IOChannel) + len(a.ConsistencyLabel)
-	if a.Handlers != nil {
-		size += 32 * a.Handlers.Len()
-	}
-	size += 16 * len(a.Timers)
-	for k, v := range a.PerThread {
-		size += len(k) + len(v)
-	}
-	return size
-}
-
 // AddTimer appends a timer registration (idempotent per event name: a
 // second registration for the same event replaces the period).
 func (a *Attributes) AddTimer(spec TimerSpec) {

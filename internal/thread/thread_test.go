@@ -139,16 +139,6 @@ func TestAddRemoveTimer(t *testing.T) {
 	}
 }
 
-func TestWireSizeGrows(t *testing.T) {
-	a := NewAttributes(ids.NewThreadID(1, 1))
-	small := a.WireSize()
-	a.Handlers.Push(event.HandlerRef{Event: event.Terminate, Kind: event.KindProc, Proc: "p"})
-	a.PerThread["blob"] = make([]byte, 100)
-	if a.WireSize() <= small {
-		t.Error("WireSize did not grow with content")
-	}
-}
-
 func TestTCBArriveDepartReturn(t *testing.T) {
 	tbl := NewTable()
 	tid := ids.NewThreadID(1, 1)

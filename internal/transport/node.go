@@ -406,11 +406,12 @@ func (p *Pipeline) Deliver(m Message) (accepted bool) {
 }
 
 // Depart gives m its departure form and charges it as sent: the size is
-// estimated if the sender left it zero, and a batch.Finalizer payload (the
-// reliable layer's pending envelope) takes its final value.
+// the payload's encoded size if the sender left it zero, and a
+// batch.Finalizer payload (the reliable layer's pending envelope) takes its
+// final value.
 func (p *Pipeline) Depart(m *Message) {
 	if m.Size == 0 {
-		m.Size = PayloadSize(m.Payload)
+		m.Size = SizeOf(m.Payload)
 	}
 	if fin, ok := m.Payload.(batch.Finalizer); ok {
 		m.Payload = fin.FinalizeFlush()

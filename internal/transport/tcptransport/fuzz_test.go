@@ -15,7 +15,7 @@ import (
 
 // fuzzTransport boots a transport hosting node 2 whose handler flags any
 // delivery the arrival path should have filtered.
-func fuzzTransport(f *testing.F) (*Transport, *atomic.Int64) {
+func fuzzTransport(f testing.TB) (*Transport, *atomic.Int64) {
 	tr, err := New(Config{Listen: "127.0.0.1:0", DispatchWorkers: 1})
 	if err != nil {
 		f.Fatal(err)
@@ -102,4 +102,23 @@ func FuzzHello(f *testing.F) {
 			t.Fatalf("accepted a hello of wire version %d, this build speaks %d", h.Version, wire.Version)
 		}
 	})
+}
+
+// TestHelloVersion pins the handshake's version check at the current
+// wire.Version: this build's hello is accepted, the same hello announcing
+// the previous version is refused (a v2 reliable envelope carries a size
+// field a v3 decoder does not expect).
+func TestHelloVersion(t *testing.T) {
+	tr, _ := fuzzTransport(t)
+	var good bytes.Buffer
+	if err := tr.writeHello(&good); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := tr.readHello(bytes.NewReader(good.Bytes())); err != nil || h.Version != wire.Version {
+		t.Fatalf("own hello: version %d, err %v", h.Version, err)
+	}
+	old := bytes.Replace(good.Bytes(), []byte{32 + idHello, wire.Version}, []byte{32 + idHello, wire.Version - 1}, 1)
+	if _, err := tr.readHello(bytes.NewReader(old)); err == nil {
+		t.Fatalf("a hello of wire version %d was accepted by a v%d build", wire.Version-1, wire.Version)
+	}
 }

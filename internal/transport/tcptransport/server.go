@@ -56,14 +56,6 @@ const (
 
 func init() {
 	wire.Register(idHello, "tcptransport.hello",
-		func(h hello) int {
-			n := wire.SizeUvarint(h.Version) + wire.SizeUvarint(h.Gen) +
-				wire.SizeValue(h.Nodes) + wire.SizeUvarint(uint64(len(h.Groups)))
-			for g, members := range h.Groups {
-				n += wire.SizeString(g) + wire.SizeValue(members)
-			}
-			return n
-		},
 		func(e *wire.Enc, h hello) {
 			e.Uvarint(h.Version)
 			e.Uvarint(h.Gen)
@@ -108,9 +100,6 @@ func init() {
 			return h
 		})
 	wire.Register(idGroupUpdate, "tcptransport.groupUpdate",
-		func(u groupUpdate) int {
-			return wire.SizeString(u.Group) + wire.SizeUvarint(uint64(u.Node)) + 1
-		},
 		func(e *wire.Enc, u groupUpdate) {
 			e.String(u.Group)
 			e.Uvarint(uint64(u.Node))

@@ -20,11 +20,11 @@
 // detector above notices silence. A broken connection is redialed with
 // exponential backoff capped at Config.RetryMax.
 //
-// Unlike netsim, byte accounting here is measured, not estimated:
-// net.msg.bytes counts the exact bytes handed to the socket (frame
-// payloads plus framing overhead), and per-kind counters charge each
-// message its encoded record footprint. E14 compares these measured
-// costs against the simulator's estimates.
+// Byte accounting is in the unit netsim uses — what the wire codec writes
+// for a payload — plus what only a socket pays: per-kind counters charge
+// each message its encoded record footprint (kind, From/To/Class varints,
+// length prefixes, payload) and net.msg.bytes adds each frame's record
+// count. E14 and transporttest compare the two links on the same traffic.
 //
 // The node side — attached nodes, dispatch shards, the cut/crash/drop
 // table, accounting — is transport.Pipeline, shared with netsim. Its
@@ -234,8 +234,7 @@ func (t *Transport) Send(m transport.Message) error {
 	}
 	lost := severed || t.roll()
 	if local {
-		// Never touches a socket; sized by estimate, as on netsim, since
-		// nothing is encoded.
+		// Never touches a socket: charged its encoded size, as on netsim.
 		return t.Post(m, lost)
 	}
 	addr, known := t.peerAddr(m.To)
@@ -261,12 +260,13 @@ func (t *Transport) Send(m transport.Message) error {
 }
 
 // dropUnsent accounts a remote message lost before it reached the socket:
-// it departed (at its estimated size — it is never encoded) and was
+// it departed (charged the payload's encoded size, the unit delivered
+// messages are measured in, less the record framing it never got) and was
 // dropped on the floor.
 func (t *Transport) dropUnsent(m transport.Message) {
 	size := m.Size
 	if size == 0 {
-		size = transport.PayloadSize(m.Payload)
+		size = transport.SizeOf(m.Payload)
 	}
 	t.ChargeSend(m.Kind, size)
 	t.Drop(1)

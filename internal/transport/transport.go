@@ -1,6 +1,6 @@
 // Package transport defines the cluster interconnect seam: the Transport
 // interface the DO/CT kernel (internal/core) sends all cross-node traffic
-// through, and the message/size vocabulary shared by every implementation.
+// through, and the message vocabulary shared by every implementation.
 //
 // Two implementations exist: internal/netsim (the deterministic in-process
 // simulator — latency/drop injection, virtual-clock support, the transport
@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/metrics"
+	"repro/internal/transport/wire"
 )
 
 // Class is the QoS event class an envelope belongs to. Classes 0..253 are
@@ -106,18 +107,29 @@ type Message struct {
 	To      ids.NodeID
 	Kind    string // protocol message kind, e.g. "rpc.req"
 	Payload any
-	Size    int   // wire size in bytes (estimated on netsim, measured on TCP)
-	Class   Class // QoS event class (ClassDefault unless stamped)
+	// Size is the message's size in bytes under the wire codec, on both
+	// links: SizeOf(Payload) at departure if the sender left it zero, the
+	// record's footprint in its frame for a socket arrival. A sender sets
+	// it itself for a payload with no codec, or — the reliable layer — for
+	// one that must not be walked again once a first copy has been delivered.
+	Size  int
+	Class Class // QoS event class (ClassDefault unless stamped)
 }
 
-// Sizer lets payloads report their wire size; payloads that do not
-// implement it are charged DefaultMessageSize bytes.
-type Sizer interface {
-	WireSize() int
-}
-
-// DefaultMessageSize is the byte charge for payloads without a Sizer.
+// DefaultMessageSize is the byte charge for payloads without a wire codec
+// (test and synthetic-workload payloads that only ever cross netsim).
 const DefaultMessageSize = 64
+
+// SizeOf is what either link charges a payload: the bytes the wire codec
+// would write for it. Senders call it while they still solely own the
+// payload.
+func SizeOf(payload any) int {
+	n, err := wire.EncodedSize(payload)
+	if err != nil {
+		return DefaultMessageSize
+	}
+	return n
+}
 
 // Handler consumes messages delivered to a node. Handlers run on the
 // transport's dispatch goroutines; they must not block indefinitely.
@@ -211,29 +223,4 @@ type DirectedFaultInjector interface {
 // retransmit backoff) can widen their timers past the flush window.
 type Batcher interface {
 	Batching() bool
-}
-
-// PayloadSize is the canonical wire-size estimator for message payloads:
-// Sizer implementations report their own size, byte slices and strings are
-// charged their length plus a small framing overhead, scalars a machine
-// word, and anything else DefaultMessageSize. Every layer — transports,
-// the reliable envelope, the kernel — uses it, so byte accounting is
-// consistent end to end. The wire codec's test suite pins the codec's
-// exact encoded sizes against these estimates (satellite 1).
-func PayloadSize(p any) int {
-	switch v := p.(type) {
-	case nil:
-		return 0
-	case Sizer:
-		return v.WireSize()
-	case []byte:
-		return 8 + len(v)
-	case string:
-		return 8 + len(v)
-	case bool, int8, uint8:
-		return 1
-	case int, int64, uint64, uintptr, float64, int32, uint32, float32, int16, uint16:
-		return 8
-	}
-	return DefaultMessageSize
 }

@@ -1,13 +1,10 @@
 package wire
 
 // Codecs for the shared kernel vocabulary: identifiers, event blocks,
-// handler chains, thread attributes and deltas, locate probes, reliable
-// envelopes and DSM page traffic. Core registers its own (unexported)
-// RPC payload types from its package init under IDs 40+.
-//
-// Every size function returns exactly the bytes its encoder appends; the
-// codec test suite pins size == len(encode) for a populated sample of
-// every registered type, so the two cannot drift silently.
+// handler chains, thread attributes and deltas, locate probes and DSM page
+// traffic. Packages above the transport seam register their own types from
+// their package init: internal/reliable the envelope and ack (IDs 23–24,
+// sentinel code 47), core its RPC payloads (IDs 40+).
 
 import (
 	"time"
@@ -18,7 +15,6 @@ import (
 	"repro/internal/locate"
 	"repro/internal/locks"
 	"repro/internal/object"
-	"repro/internal/reliable"
 	"repro/internal/thread"
 )
 
@@ -42,13 +38,13 @@ const (
 	idAttributes  = 20
 	idDelta       = 21
 	idProbeResult = 22
-	idEnvelope    = 23
-	idAck         = 24
-	idMetaReq     = 25
-	idPageReq     = 26
-	idPageReply   = 27
-	idMeta        = 28
-	idFaultError  = 29
+	// 23 (reliable.Envelope) and 24 (reliable.Ack) are registered by
+	// internal/reliable.
+	idMetaReq    = 25
+	idPageReq    = 26
+	idPageReply  = 27
+	idMeta       = 28
+	idFaultError = 29
 )
 
 // Stable sentinel-error codes for the shared packages. Core sentinels use
@@ -70,7 +66,7 @@ const (
 	codeLocNotFound         = 44
 	codeLocPathBroken       = 45
 	codeLockTimeout         = 46
-	codeRelUndeliverable    = 47
+	// 47 (reliable.ErrUndeliverable) is registered by internal/reliable.
 )
 
 func init() {
@@ -85,37 +81,22 @@ func init() {
 
 func registerIDCodecs() {
 	Register(idNodeID, "ids.NodeID",
-		func(v ids.NodeID) int { return SizeUvarint(uint64(v)) },
 		func(e *Enc, v ids.NodeID) { e.Uvarint(uint64(v)) },
 		decNodeID)
 	Register(idThreadID, "ids.ThreadID",
-		func(v ids.ThreadID) int { return SizeUvarint(uint64(v)) },
 		func(e *Enc, v ids.ThreadID) { e.Uvarint(uint64(v)) },
 		func(d *Dec) ids.ThreadID { return ids.ThreadID(d.Uvarint()) })
 	Register(idObjectID, "ids.ObjectID",
-		func(v ids.ObjectID) int { return SizeUvarint(uint64(v)) },
 		func(e *Enc, v ids.ObjectID) { e.Uvarint(uint64(v)) },
 		func(d *Dec) ids.ObjectID { return ids.ObjectID(d.Uvarint()) })
 	Register(idGroupID, "ids.GroupID",
-		func(v ids.GroupID) int { return SizeUvarint(uint64(v)) },
 		func(e *Enc, v ids.GroupID) { e.Uvarint(uint64(v)) },
 		func(d *Dec) ids.GroupID { return ids.GroupID(d.Uvarint()) })
 	Register(idSegmentID, "ids.SegmentID",
-		func(v ids.SegmentID) int { return SizeUvarint(uint64(v)) },
 		func(e *Enc, v ids.SegmentID) { e.Uvarint(uint64(v)) },
 		func(d *Dec) ids.SegmentID { return ids.SegmentID(d.Uvarint()) })
-	Register(idEventStamp, "ids.EventStamp", sizeStamp, encStamp, decStamp)
+	Register(idEventStamp, "ids.EventStamp", encStamp, decStamp)
 	Register(idThreadIDs, "[]ids.ThreadID",
-		func(v []ids.ThreadID) int {
-			if v == nil {
-				return 1
-			}
-			n := 1 + SizeUvarint(uint64(len(v)))
-			for _, t := range v {
-				n += SizeUvarint(uint64(t))
-			}
-			return n
-		},
 		func(e *Enc, v []ids.ThreadID) {
 			e.Bool(v != nil)
 			if v == nil {
@@ -138,16 +119,6 @@ func registerIDCodecs() {
 			return out
 		})
 	Register(idNodeIDs, "[]ids.NodeID",
-		func(v []ids.NodeID) int {
-			if v == nil {
-				return 1
-			}
-			n := 1 + SizeUvarint(uint64(len(v)))
-			for _, t := range v {
-				n += SizeUvarint(uint64(t))
-			}
-			return n
-		},
 		func(e *Enc, v []ids.NodeID) {
 			e.Bool(v != nil)
 			if v == nil {
@@ -180,10 +151,6 @@ func decNodeID(d *Dec) ids.NodeID {
 	return ids.NodeID(v)
 }
 
-func sizeStamp(s ids.EventStamp) int {
-	return SizeUvarint(uint64(s.Node)) + SizeUvarint(uint64(s.Seq))
-}
-
 func encStamp(e *Enc, s ids.EventStamp) {
 	e.Uvarint(uint64(s.Node))
 	e.Uvarint(uint64(s.Seq))
@@ -197,25 +164,17 @@ func decStamp(d *Dec) ids.EventStamp {
 
 func registerEventCodecs() {
 	Register(idEventName, "event.Name",
-		func(v event.Name) int { return SizeString(string(v)) },
 		func(e *Enc, v event.Name) { e.String(string(v)) },
 		func(d *Dec) event.Name { return event.Name(d.String()) })
 	Register(idVerdict, "event.Verdict",
-		func(v event.Verdict) int { return SizeUvarint(uint64(v)) },
 		func(e *Enc, v event.Verdict) { e.Uvarint(uint64(v)) },
 		func(d *Dec) event.Verdict { return event.Verdict(d.Uvarint()) })
 	Register(idHandlerKind, "event.HandlerKind",
-		func(v event.HandlerKind) int { return SizeUvarint(uint64(v)) },
 		func(e *Enc, v event.HandlerKind) { e.Uvarint(uint64(v)) },
 		func(d *Dec) event.HandlerKind { return event.HandlerKind(d.Uvarint()) })
-	Register(idTarget, "event.Target", sizeTarget, encTarget, decTarget)
-	Register(idHandlerRef, "event.HandlerRef", sizeHandlerRef, encHandlerRef, decHandlerRef)
-	Register(idEventBlock, "*event.Block", sizeBlock, encBlock, decBlock)
-}
-
-func sizeTarget(t event.Target) int {
-	return SizeUvarint(uint64(t.Kind)) + SizeUvarint(uint64(t.Thread)) +
-		SizeUvarint(uint64(t.Group)) + SizeUvarint(uint64(t.Object))
+	Register(idTarget, "event.Target", encTarget, decTarget)
+	Register(idHandlerRef, "event.HandlerRef", encHandlerRef, decHandlerRef)
+	Register(idEventBlock, "*event.Block", encBlock, decBlock)
 }
 
 func encTarget(e *Enc, t event.Target) {
@@ -232,12 +191,6 @@ func decTarget(d *Dec) event.Target {
 		Group:  ids.GroupID(d.Uvarint()),
 		Object: ids.ObjectID(d.Uvarint()),
 	}
-}
-
-func sizeHandlerRef(h event.HandlerRef) int {
-	return SizeString(string(h.Event)) + SizeUvarint(uint64(h.Kind)) +
-		SizeUvarint(uint64(h.Object)) + SizeString(h.Entry) + SizeString(h.Proc) +
-		SizeUvarint(uint64(h.AttachedIn)) + sizeMapSS(h.Data)
 }
 
 func encHandlerRef(e *Enc, h event.HandlerRef) {
@@ -260,21 +213,6 @@ func decHandlerRef(d *Dec) event.HandlerRef {
 		AttachedIn: ids.ObjectID(d.Uvarint()),
 		Data:       decMapSS(d),
 	}
-}
-
-func sizeBlock(b *event.Block) int {
-	if b == nil {
-		return 1
-	}
-	n := 1 + sizeStamp(b.Stamp) + SizeString(string(b.Name)) + sizeTarget(b.Target) +
-		SizeUvarint(uint64(b.Raiser)) + SizeUvarint(uint64(b.RaiserNode)) +
-		1 + SizeUvarint(b.SyncID) + SizeUvarint(uint64(b.Class)) + sizeState(b.State)
-	if b.User == nil {
-		n++ // tagNil
-	} else {
-		n += SizeValue(b.User)
-	}
-	return n
 }
 
 func encBlock(e *Enc, b *event.Block) {
@@ -324,15 +262,6 @@ func decBlock(d *Dec) *event.Block {
 	return b
 }
 
-func sizeState(s *event.ThreadState) int {
-	if s == nil {
-		return 1
-	}
-	return 1 + SizeUvarint(uint64(s.Thread)) + SizeUvarint(uint64(s.Node)) +
-		SizeUvarint(uint64(s.Object)) + SizeString(s.Entry) + SizeUvarint(s.PC) +
-		SizeString(s.Blocked) + SizeVarint(int64(s.Depth))
-}
-
 func encState(e *Enc, s *event.ThreadState) {
 	e.Bool(s != nil)
 	if s == nil {
@@ -365,19 +294,8 @@ func decState(d *Dec) *event.ThreadState {
 // --- thread attributes and deltas -------------------------------------------
 
 func registerThreadCodecs() {
-	Register(idAttributes, "*thread.Attributes", sizeAttrs, encAttrs, decAttrs)
-	Register(idDelta, "*thread.Delta", sizeDelta, encDelta, decDelta)
-}
-
-func sizeAttrs(a *thread.Attributes) int {
-	if a == nil {
-		return 1
-	}
-	n := 1 + SizeUvarint(uint64(a.Thread)) + SizeUvarint(uint64(a.Creator)) +
-		SizeString(a.App) + SizeUvarint(uint64(a.Group)) + SizeString(a.IOChannel) +
-		SizeString(a.ConsistencyLabel) + sizeChain(a.Handlers) +
-		sizeTimers(a.Timers) + sizeMapSB(a.PerThread) + SizeUvarint(a.Version)
-	return n
+	Register(idAttributes, "*thread.Attributes", encAttrs, decAttrs)
+	Register(idDelta, "*thread.Delta", encDelta, decDelta)
 }
 
 func encAttrs(e *Enc, a *thread.Attributes) {
@@ -419,18 +337,6 @@ func decAttrs(d *Dec) *thread.Attributes {
 // deliberate and safe: Unchanged() is consulted only on the sending side
 // (before encode), and for an unchanged delta the general Apply path
 // rebuilds content identical to the fast path (full ChainKeep, no edits).
-func sizeDelta(dl *thread.Delta) int {
-	if dl == nil {
-		return 1
-	}
-	n := 1 + SizeUvarint(uint64(dl.Thread)) + SizeUvarint(dl.Base) +
-		SizeUvarint(dl.Version) + SizeUvarint(uint64(dl.ChainKeep)) +
-		sizeRefs(dl.ChainPush) + 1 + sizeTimers(dl.Timers) +
-		1 + SizeUvarint(uint64(dl.Group)) + SizeString(dl.IOChannel) +
-		SizeString(dl.ConsistencyLabel) + sizeMapSB(dl.PTSet) + sizeStrs(dl.PTDel)
-	return n
-}
-
 func encDelta(e *Enc, dl *thread.Delta) {
 	e.Bool(dl != nil)
 	if dl == nil {
@@ -472,27 +378,14 @@ func decDelta(d *Dec) *thread.Delta {
 	}
 }
 
-func sizeChain(c *event.Chain) int {
-	if c == nil {
-		return 1
-	}
-	links := c.Links()
-	n := 1 + SizeUvarint(uint64(len(links)))
-	for _, h := range links {
-		n += sizeHandlerRef(h)
-	}
-	return n
-}
-
 func encChain(e *Enc, c *event.Chain) {
 	e.Bool(c != nil)
 	if c == nil {
 		return
 	}
-	links := c.Links()
-	e.Uvarint(uint64(len(links)))
-	for _, h := range links {
-		encHandlerRef(e, h)
+	e.Uvarint(uint64(c.Len()))
+	for i := 0; i < c.Len(); i++ {
+		encHandlerRef(e, c.At(i))
 	}
 }
 
@@ -509,17 +402,6 @@ func decChain(d *Dec) *event.Chain {
 		}
 	}
 	return c
-}
-
-func sizeRefs(refs []event.HandlerRef) int {
-	if refs == nil {
-		return 1
-	}
-	n := 1 + SizeUvarint(uint64(len(refs)))
-	for _, h := range refs {
-		n += sizeHandlerRef(h)
-	}
-	return n
 }
 
 func encRefs(e *Enc, refs []event.HandlerRef) {
@@ -546,17 +428,6 @@ func decRefs(d *Dec) []event.HandlerRef {
 		}
 	}
 	return out
-}
-
-func sizeTimers(ts []thread.TimerSpec) int {
-	if ts == nil {
-		return 1
-	}
-	n := 1 + SizeUvarint(uint64(len(ts)))
-	for _, t := range ts {
-		n += SizeString(string(t.Event)) + SizeVarint(int64(t.Period))
-	}
-	return n
 }
 
 func encTimers(e *Enc, ts []thread.TimerSpec) {
@@ -589,11 +460,10 @@ func decTimers(d *Dec) []thread.TimerSpec {
 	return out
 }
 
-// --- locate, reliable, dsm --------------------------------------------------
+// --- locate, dsm ------------------------------------------------------------
 
 func registerMiscCodecs() {
 	Register(idProbeResult, "locate.ProbeResult",
-		func(v locate.ProbeResult) int { return 2 + SizeUvarint(uint64(v.Next)) },
 		func(e *Enc, v locate.ProbeResult) {
 			e.Bool(v.Known)
 			e.Bool(v.Here)
@@ -603,43 +473,10 @@ func registerMiscCodecs() {
 			return locate.ProbeResult{Known: d.Bool(), Here: d.Bool(), Next: decNodeID(d)}
 		})
 
-	Register(idEnvelope, "reliable.Envelope",
-		func(v reliable.Envelope) int {
-			return SizeUvarint(v.Seq) + SizeUvarint(v.Gen) + SizeString(v.Kind) +
-				SizeValue(v.Payload) + SizeUvarint(v.AckCum) + SizeVarint(int64(v.Size))
-		},
-		func(e *Enc, v reliable.Envelope) {
-			e.Uvarint(v.Seq)
-			e.Uvarint(v.Gen)
-			e.String(v.Kind)
-			e.Value(v.Payload)
-			e.Uvarint(v.AckCum)
-			e.Varint(int64(v.Size))
-		},
-		func(d *Dec) reliable.Envelope {
-			return reliable.Envelope{
-				Seq:     d.Uvarint(),
-				Gen:     d.Uvarint(),
-				Kind:    d.String(),
-				Payload: d.Value(),
-				AckCum:  d.Uvarint(),
-				Size:    int(d.Varint()),
-			}
-		})
-	Register(idAck, "reliable.Ack",
-		func(v reliable.Ack) int { return SizeUvarint(v.Seq) + SizeUvarint(v.Cum) },
-		func(e *Enc, v reliable.Ack) { e.Uvarint(v.Seq); e.Uvarint(v.Cum) },
-		func(d *Dec) reliable.Ack { return reliable.Ack{Seq: d.Uvarint(), Cum: d.Uvarint()} })
-
 	Register(idMetaReq, "dsm.MetaReq",
-		func(v dsm.MetaReq) int { return SizeUvarint(uint64(v.Seg)) },
 		func(e *Enc, v dsm.MetaReq) { e.Uvarint(uint64(v.Seg)) },
 		func(d *Dec) dsm.MetaReq { return dsm.MetaReq{Seg: ids.SegmentID(d.Uvarint())} })
 	Register(idPageReq, "dsm.PageReq",
-		func(v dsm.PageReq) int {
-			return SizeUvarint(uint64(v.Seg)) + SizeVarint(int64(v.Page)) + SizeUvarint(uint64(v.From)) +
-				SizeUvarint(v.Grants)
-		},
 		func(e *Enc, v dsm.PageReq) {
 			e.Uvarint(uint64(v.Seg))
 			e.Varint(int64(v.Page))
@@ -657,12 +494,6 @@ func registerMiscCodecs() {
 	// PageReply distinguishes nil Data ("your copy is usable") from a real
 	// page image, so nil-ness is encoded explicitly.
 	Register(idPageReply, "dsm.PageReply",
-		func(v dsm.PageReply) int {
-			if v.Data == nil {
-				return SizeUvarint(v.Grant) + 1
-			}
-			return SizeUvarint(v.Grant) + 1 + SizeBytes(v.Data)
-		},
 		func(e *Enc, v dsm.PageReply) {
 			e.Uvarint(v.Grant)
 			e.Bool(v.Data != nil)
@@ -678,10 +509,6 @@ func registerMiscCodecs() {
 			return r
 		})
 	Register(idMeta, "dsm.Meta",
-		func(v dsm.Meta) int {
-			return SizeUvarint(uint64(v.ID)) + SizeVarint(int64(v.Size)) +
-				SizeVarint(int64(v.PageSize)) + 1
-		},
 		func(e *Enc, v dsm.Meta) {
 			e.Uvarint(uint64(v.ID))
 			e.Varint(int64(v.Size))
@@ -699,12 +526,6 @@ func registerMiscCodecs() {
 	// FaultError crosses structurally (not as sentinel + message) because
 	// core matches it with errors.As and reads its fields.
 	Register(idFaultError, "*dsm.FaultError",
-		func(v *dsm.FaultError) int {
-			if v == nil {
-				return 1
-			}
-			return 1 + SizeUvarint(uint64(v.Seg)) + SizeVarint(int64(v.Page)) + 1
-		},
 		func(e *Enc, v *dsm.FaultError) {
 			e.Bool(v != nil)
 			if v == nil {
@@ -745,32 +566,16 @@ func registerSentinels() {
 	RegisterErr(codeLocNotFound, locate.ErrNotFound)
 	RegisterErr(codeLocPathBroken, locate.ErrPathBroken)
 	RegisterErr(codeLockTimeout, locks.ErrTimeout)
-	RegisterErr(codeRelUndeliverable, reliable.ErrUndeliverable)
 }
 
 // --- shared small-container helpers -----------------------------------------
-
-func sizeMapSS(m map[string]string) int {
-	if m == nil {
-		return 1
-	}
-	n := 1 + SizeUvarint(uint64(len(m)))
-	for k, v := range m {
-		n += SizeString(k) + SizeString(v)
-	}
-	return n
-}
 
 func encMapSS(e *Enc, m map[string]string) {
 	e.Bool(m != nil)
 	if m == nil {
 		return
 	}
-	e.Uvarint(uint64(len(m)))
-	for _, k := range sortedKeys(m) {
-		e.String(k)
-		e.String(m[k])
-	}
+	encMap(e, m, (*Enc).String)
 }
 
 func decMapSS(d *Dec) map[string]string {
@@ -789,27 +594,12 @@ func decMapSS(d *Dec) map[string]string {
 	return m
 }
 
-func sizeMapSB(m map[string][]byte) int {
-	if m == nil {
-		return 1
-	}
-	n := 1 + SizeUvarint(uint64(len(m)))
-	for k, v := range m {
-		n += SizeString(k) + SizeBytes(v)
-	}
-	return n
-}
-
 func encMapSB(e *Enc, m map[string][]byte) {
 	e.Bool(m != nil)
 	if m == nil {
 		return
 	}
-	e.Uvarint(uint64(len(m)))
-	for _, k := range sortedKeys(m) {
-		e.String(k)
-		e.Bytes(m[k])
-	}
+	encMap(e, m, (*Enc).Bytes)
 }
 
 func decMapSB(d *Dec) map[string][]byte {
@@ -826,17 +616,6 @@ func decMapSB(d *Dec) map[string][]byte {
 		}
 	}
 	return m
-}
-
-func sizeStrs(ss []string) int {
-	if ss == nil {
-		return 1
-	}
-	n := 1 + SizeUvarint(uint64(len(ss)))
-	for _, s := range ss {
-		n += SizeString(s)
-	}
-	return n
 }
 
 func encStrs(e *Enc, ss []string) {

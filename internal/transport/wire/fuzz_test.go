@@ -32,6 +32,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 		}
 	}
+	// Typed nil pointers: a registered tag followed by a zero presence flag.
+	for _, id := range []byte{idEventBlock, idAttributes, idDelta, idFaultError} {
+		f.Add([]byte{firstTypeTag + id, 0})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := DecodeValue(data)
 		if err != nil {

@@ -1,7 +1,10 @@
 // Package wire is the binary envelope codec for the TCP transport: the
 // self-describing encoding of every payload that rides a kernel message —
 // reliable envelopes, RPC requests and replies, event blocks, attribute
-// snapshots and deltas, acks, heartbeats, locate probes.
+// snapshots and deltas, acks, heartbeats, locate probes. It is also the one
+// description of a message's size: EncodedSize runs the encoder in counting
+// mode, and that figure is what netsim and tcptransport both charge
+// (transport.SizeOf), so there is no estimate to keep in step with it.
 //
 // Layout. A value is a uvarint type tag followed by a tag-specific body.
 // Tags below firstTypeTag are built-ins (nil, bools, integers, floats,
@@ -36,6 +39,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -43,7 +47,9 @@ import (
 // v2: event.Block carries a QoS class uvarint after SyncID, and tcp
 // transport records carry a class uvarint between the To id and the
 // payload.
-const Version = 2
+// v3: reliable.Envelope no longer carries a size field, and core's
+// fanoutReq lists its layout and assignments as flat uvarints.
+const Version = 3
 
 // ErrCorrupt is returned for structurally invalid input.
 var ErrCorrupt = errors.New("wire: corrupt value")
@@ -84,11 +90,15 @@ const maxNest = 32
 
 // --- encoder ----------------------------------------------------------------
 
-// Enc is an append-only encoder over a caller-owned buffer.
+// Enc is an append-only encoder over a caller-owned buffer. It has a
+// second, counting mode (EncodedSize): every append becomes a length
+// addition, so the encoder itself is the one description of a type's bytes.
 type Enc struct {
-	Buf   []byte
-	err   error
-	depth int
+	Buf      []byte
+	n        int  // counting mode: the bytes an appending Enc would have written
+	counting bool // set only by EncodedSize
+	err      error
+	depth    int
 }
 
 // Err returns the first encode failure (an unencodable value).
@@ -101,16 +111,31 @@ func (e *Enc) fail(err error) {
 }
 
 // Uvarint appends v in minimal varint form.
-func (e *Enc) Uvarint(v uint64) { e.Buf = binary.AppendUvarint(e.Buf, v) }
+func (e *Enc) Uvarint(v uint64) {
+	if e.counting {
+		e.n += uvarintLen(v)
+		return
+	}
+	e.Buf = binary.AppendUvarint(e.Buf, v)
+}
 
 // Varint appends v in zigzag varint form.
-func (e *Enc) Varint(v int64) { e.Buf = binary.AppendVarint(e.Buf, v) }
+func (e *Enc) Varint(v int64) {
+	if e.counting {
+		e.n += varintLen(v)
+		return
+	}
+	e.Buf = binary.AppendVarint(e.Buf, v)
+}
 
 // Bool appends a one-byte flag.
 func (e *Enc) Bool(v bool) {
-	if v {
+	switch {
+	case e.counting:
+		e.n++
+	case v:
 		e.Buf = append(e.Buf, 1)
-	} else {
+	default:
 		e.Buf = append(e.Buf, 0)
 	}
 }
@@ -118,40 +143,74 @@ func (e *Enc) Bool(v bool) {
 // String appends a uvarint-prefixed string.
 func (e *Enc) String(s string) {
 	e.Uvarint(uint64(len(s)))
+	if e.counting {
+		e.n += len(s)
+		return
+	}
 	e.Buf = append(e.Buf, s...)
 }
 
 // Bytes appends a uvarint-prefixed byte string.
 func (e *Enc) Bytes(b []byte) {
 	e.Uvarint(uint64(len(b)))
+	if e.counting {
+		e.n += len(b)
+		return
+	}
 	e.Buf = append(e.Buf, b...)
 }
 
 // F64 appends an 8-byte little-endian float.
 func (e *Enc) F64(v float64) {
+	if e.counting {
+		e.n += 8
+		return
+	}
 	e.Buf = binary.LittleEndian.AppendUint64(e.Buf, math.Float64bits(v))
 }
 
 // Value appends one self-describing value (tag + body). Depth is tracked
 // on the encoder itself so nesting through registered codecs (an envelope
 // whose payload is another wrapped value) counts toward the same bound.
+//
+// A message is sized on whatever goroutine sends it — often a fresh one
+// with a 2 KB stack — and growing a stack mid-recursion is the expensive
+// part of sizing. So this frame is kept small: the built-in cases live in
+// two helpers that return before a registered codec runs, and the failures
+// are built out of line. A level of nesting then costs this frame and the
+// codec's.
 func (e *Enc) Value(v any) {
-	if e.err != nil {
+	switch {
+	case e.err != nil:
 		return
-	}
-	if e.depth >= maxNest {
-		e.fail(fmt.Errorf("%w: nesting over %d deep", ErrUnencodable, maxNest))
+	case e.depth >= maxNest:
+		e.fail(errTooDeep)
+		return
+	case v == nil:
+		e.Uvarint(tagNil)
 		return
 	}
 	e.depth++
-	e.valueBody(v)
+	if tc := lookupType(v); tc != nil {
+		// Registered types first: kernel messages nest them several deep
+		// before the first built-in, and a struct error with its own codec
+		// (dsm.FaultError) must cross structurally, not as code + message.
+		e.Uvarint(firstTypeTag + tc.id)
+		tc.enc(e, v)
+	} else if !e.scalar(v) && !e.container(v) {
+		e.unencodable(v)
+	}
 	e.depth--
 }
 
-func (e *Enc) valueBody(v any) {
+var errTooDeep = fmt.Errorf("%w: nesting over %d deep", ErrUnencodable, maxNest)
+
+//go:noinline
+func (e *Enc) unencodable(v any) { e.fail(fmt.Errorf("%w: %T", ErrUnencodable, v)) }
+
+// scalar appends v if it is a built-in value without values inside.
+func (e *Enc) scalar(v any) bool {
 	switch t := v.(type) {
-	case nil:
-		e.Uvarint(tagNil)
 	case bool:
 		if t {
 			e.Uvarint(tagTrue)
@@ -181,7 +240,11 @@ func (e *Enc) valueBody(v any) {
 		e.F64(t)
 	case float32:
 		e.Uvarint(tagFloat32)
-		e.Buf = binary.LittleEndian.AppendUint32(e.Buf, math.Float32bits(t))
+		if e.counting {
+			e.n += 4
+		} else {
+			e.Buf = binary.LittleEndian.AppendUint32(e.Buf, math.Float32bits(t))
+		}
 	case time.Duration:
 		e.Uvarint(tagDuration)
 		e.Varint(int64(t))
@@ -191,52 +254,42 @@ func (e *Enc) valueBody(v any) {
 	case []byte:
 		e.Uvarint(tagBytes)
 		e.Bytes(t)
-	case []any:
-		e.Uvarint(tagSliceAny)
-		e.Uvarint(uint64(len(t)))
-		for _, el := range t {
-			e.Value(el)
-		}
 	case []string:
 		e.Uvarint(tagSliceStr)
 		e.Uvarint(uint64(len(t)))
 		for _, s := range t {
 			e.String(s)
 		}
-	case map[string]any:
-		e.Uvarint(tagMapStrAny)
-		e.Uvarint(uint64(len(t)))
-		for _, k := range sortedKeys(t) {
-			e.String(k)
-			e.Value(t[k])
-		}
 	case map[string]string:
 		e.Uvarint(tagMapStrStr)
+		encMap(e, t, (*Enc).String)
+	default:
+		return false
+	}
+	return true
+}
+
+// container appends v if it is a built-in value with values inside, or an
+// error (one without a codec of its own, or Value would not have asked):
+// sentinel code + message.
+func (e *Enc) container(v any) bool {
+	switch t := v.(type) {
+	case []any:
+		e.Uvarint(tagSliceAny)
 		e.Uvarint(uint64(len(t)))
-		for _, k := range sortedKeys(t) {
-			e.String(k)
-			e.String(t[k])
+		for _, el := range t {
+			e.Value(el)
 		}
+	case map[string]any:
+		e.Uvarint(tagMapStrAny)
+		encMap(e, t, (*Enc).Value)
 	case error:
-		// A struct error with its own registered codec (dsm.FaultError)
-		// crosses structurally, so errors.As keeps working at the far end;
-		// anything else crosses as sentinel code + message.
-		if id, tc := lookupType(v); tc != nil {
-			e.Uvarint(firstTypeTag + id)
-			tc.enc(e, v)
-			return
-		}
 		e.Uvarint(tagError)
 		e.Error(t)
 	default:
-		id, tc := lookupType(v)
-		if tc == nil {
-			e.fail(fmt.Errorf("%w: %T", ErrUnencodable, v))
-			return
-		}
-		e.Uvarint(firstTypeTag + id)
-		tc.enc(e, v)
+		return false
 	}
+	return true
 }
 
 // Error appends an error body: sentinel code + full message.
@@ -564,124 +617,48 @@ func DecodeValue(src []byte) (any, error) {
 	return v, nil
 }
 
-// EncodedSize returns exactly len(EncodeValue(v)) without encoding. Every
-// registered type computes its size structurally (a hand-written size
-// function, or the codec's own arithmetic for built-ins); the codec test
-// suite pins EncodedSize == len(EncodeValue) for every message kind, so
-// the two cannot drift.
-func EncodedSize(v any) (n int, err error) {
-	// Registered size functions report nested unencodable values by
-	// panicking through SizeValue; translate that back into an error here.
-	defer func() {
-		if r := recover(); r != nil {
-			sp, ok := r.(sizePanic)
-			if !ok {
-				panic(r)
-			}
-			n, err = 0, sp.err
-		}
-	}()
-	return sizeValue(v, 0)
+// EncodedSize returns exactly len(EncodeValue(v)) without encoding and
+// without allocating: it runs the encoder in counting mode, so there is no
+// second description of any type's bytes to drift from the first. It is
+// what both links charge a message (transport.SizeOf).
+func EncodedSize(v any) (int, error) {
+	e := counters.Get().(*Enc)
+	e.Value(v)
+	n, err := e.n, e.err
+	*e = Enc{counting: true}
+	counters.Put(e)
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
-type sizePanic struct{ err error }
-
-func sizeValue(v any, depth int) (int, error) {
-	if depth > maxNest {
-		return 0, fmt.Errorf("%w: nesting over %d deep", ErrUnencodable, maxNest)
-	}
-	switch t := v.(type) {
-	case nil, bool:
-		return 1, nil
-	case int:
-		return 1 + varintLen(int64(t)), nil
-	case int64:
-		return 1 + varintLen(t), nil
-	case uint64:
-		return 1 + uvarintLen(t), nil
-	case uint:
-		return 1 + uvarintLen(uint64(t)), nil
-	case uint32:
-		return 1 + uvarintLen(uint64(t)), nil
-	case int32:
-		return 1 + varintLen(int64(t)), nil
-	case float64:
-		return 1 + 8, nil
-	case float32:
-		return 1 + 4, nil
-	case time.Duration:
-		return 1 + varintLen(int64(t)), nil
-	case string:
-		return 1 + SizeString(t), nil
-	case []byte:
-		return 1 + SizeBytes(t), nil
-	case []any:
-		n := 1 + uvarintLen(uint64(len(t)))
-		for _, el := range t {
-			en, err := sizeValue(el, depth+1)
-			if err != nil {
-				return 0, err
-			}
-			n += en
-		}
-		return n, nil
-	case []string:
-		n := 1 + uvarintLen(uint64(len(t)))
-		for _, s := range t {
-			n += SizeString(s)
-		}
-		return n, nil
-	case map[string]any:
-		n := 1 + uvarintLen(uint64(len(t)))
-		for k, el := range t {
-			en, err := sizeValue(el, depth+1)
-			if err != nil {
-				return 0, err
-			}
-			n += SizeString(k) + en
-		}
-		return n, nil
-	case map[string]string:
-		n := 1 + uvarintLen(uint64(len(t)))
-		for k, el := range t {
-			n += SizeString(k) + SizeString(el)
-		}
-		return n, nil
-	case error:
-		if id, tc := lookupType(v); tc != nil {
-			return uvarintLen(firstTypeTag+id) + tc.size(v), nil
-		}
-		return 1 + SizeError(t), nil
-	default:
-		id, tc := lookupType(v)
-		if tc == nil {
-			return 0, fmt.Errorf("%w: %T", ErrUnencodable, v)
-		}
-		return uvarintLen(firstTypeTag+id) + tc.size(v), nil
-	}
-}
+// counters pools counting encoders: an Enc escapes through the registered
+// codec closures, so a fresh one per EncodedSize call would be a heap
+// allocation on every send.
+var counters = sync.Pool{New: func() any { return &Enc{counting: true} }}
 
 // --- type registry ----------------------------------------------------------
 
 type typeCodec struct {
+	id   uint64
 	name string
 	enc  func(*Enc, any)
 	dec  func(*Dec) any
-	size func(any) int
 }
 
 var (
 	types     = map[uint64]*typeCodec{}
-	typeByRT  = map[reflect.Type]uint64{}
+	typeByRT  = map[reflect.Type]*typeCodec{}
 	typeNames = map[string]uint64{}
 )
 
 // Register installs the codec for one Go type under a stable numeric ID.
-// IDs are part of the wire format: never reuse or renumber one. size must
-// return exactly the bytes enc will append — the codec test suite pins it.
-// Register panics on conflicts; it is called from package init functions
-// only.
-func Register[T any](id uint64, name string, size func(T) int, enc func(*Enc, T), dec func(*Dec) T) {
+// IDs are part of the wire format: never reuse or renumber one. enc must
+// write through e's methods only (never e.Buf directly), which is what lets
+// the same function size a value in counting mode. Register panics on
+// conflicts; it is called from package init functions only.
+func Register[T any](id uint64, name string, enc func(*Enc, T), dec func(*Dec) T) {
 	rt := reflect.TypeOf((*T)(nil)).Elem()
 	if _, dup := types[id]; dup {
 		panic(fmt.Sprintf("wire: type id %d registered twice (%s)", id, name))
@@ -693,30 +670,17 @@ func Register[T any](id uint64, name string, size func(T) int, enc func(*Enc, T)
 		panic(fmt.Sprintf("wire: type name %q registered twice", name))
 	}
 	types[id] = &typeCodec{
+		id:   id,
 		name: name,
 		enc:  func(e *Enc, v any) { enc(e, v.(T)) },
 		dec:  func(d *Dec) any { return dec(d) },
-		size: func(v any) int { return size(v.(T)) },
 	}
-	typeByRT[rt] = id
+	typeByRT[rt] = types[id]
 	typeNames[name] = id
 }
 
 // lookupType resolves a value's registered codec (nil if none).
-func lookupType(v any) (uint64, *typeCodec) {
-	id, ok := typeByRT[reflect.TypeOf(v)]
-	if !ok {
-		return 0, nil
-	}
-	return id, types[id]
-}
-
-// Encodable reports whether v has a codec (built-in or registered), so
-// senders can fail fast before framing.
-func Encodable(v any) bool {
-	_, err := EncodedSize(v)
-	return err == nil
-}
+func lookupType(v any) *typeCodec { return typeByRT[reflect.TypeOf(v)] }
 
 // RegisteredTypes returns the registered type names keyed by ID, for the
 // codec test suite to enumerate.
@@ -788,34 +752,11 @@ func SentinelFor(code uint64) error { return errByCode[code] }
 
 // --- size helpers -----------------------------------------------------------
 
-// SizeUvarint is the encoded size of v as a uvarint.
-func SizeUvarint(v uint64) int { return uvarintLen(v) }
-
-// SizeVarint is the encoded size of v as a zigzag varint.
-func SizeVarint(v int64) int { return varintLen(v) }
-
 // SizeString is the encoded size of a uvarint-prefixed string.
 func SizeString(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 // SizeBytes is the encoded size of a uvarint-prefixed byte string.
 func SizeBytes(b []byte) int { return uvarintLen(uint64(len(b))) + len(b) }
-
-// SizeError is the encoded size of an error body.
-func SizeError(err error) int {
-	return uvarintLen(errCodeFor(err)) + SizeString(err.Error())
-}
-
-// SizeValue is the encoded size of one self-describing value. It is meant
-// for registered size functions sizing nested `any` fields: an unencodable
-// value panics, and EncodedSize converts that panic back into an error at
-// its boundary. Outside size functions, prefer EncodedSize.
-func SizeValue(v any) int {
-	n, err := sizeValue(v, 0)
-	if err != nil {
-		panic(sizePanic{err})
-	}
-	return n
-}
 
 func uvarintLen(x uint64) int {
 	n := 1
@@ -834,11 +775,26 @@ func varintLen(x int64) int {
 	return uvarintLen(ux)
 }
 
-func sortedKeys[V any](m map[string]V) []string {
+// encMap appends a count and the entries of a string-keyed map, each value
+// through val. An appending encoder sorts the keys so every map has one
+// byte representation; a counting one ranges the map as it lies — the sum
+// does not depend on the order, and sorting would allocate.
+func encMap[V any](e *Enc, m map[string]V, val func(*Enc, V)) {
+	e.Uvarint(uint64(len(m)))
+	if e.counting {
+		for k, v := range m {
+			e.String(k)
+			val(e, v)
+		}
+		return
+	}
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
+	for _, k := range keys {
+		e.String(k)
+		val(e, m[k])
+	}
 }

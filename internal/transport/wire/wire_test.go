@@ -12,7 +12,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/ids"
 	"repro/internal/locate"
-	"repro/internal/reliable"
 	"repro/internal/thread"
 )
 
@@ -104,15 +103,11 @@ func samples() map[string]any {
 		"*thread.Attributes": sampleAttrs(),
 		"*thread.Delta":      sampleDelta(),
 		"locate.ProbeResult": locate.ProbeResult{Known: true, Here: false, Next: 3},
-		"reliable.Envelope": reliable.Envelope{
-			Seq: 8, Kind: "rpc.req", Payload: map[string]any{"k": "v"}, AckCum: 7, Size: 120,
-		},
-		"reliable.Ack":    reliable.Ack{Seq: 9, Cum: 9},
-		"dsm.MetaReq":     dsm.MetaReq{Seg: 4},
-		"dsm.PageReq":     dsm.PageReq{Seg: 4, Page: 2, From: 6, Grants: 3},
-		"dsm.PageReply":   dsm.PageReply{Data: []byte{1, 2, 3, 4}, Grant: 3},
-		"dsm.Meta":        dsm.Meta{ID: 4, Size: 8192, PageSize: 1024, UserPaged: true},
-		"*dsm.FaultError": &dsm.FaultError{Seg: 4, Page: 3, Write: true},
+		"dsm.MetaReq":        dsm.MetaReq{Seg: 4},
+		"dsm.PageReq":        dsm.PageReq{Seg: 4, Page: 2, From: 6, Grants: 3},
+		"dsm.PageReply":      dsm.PageReply{Data: []byte{1, 2, 3, 4}, Grant: 3},
+		"dsm.Meta":           dsm.Meta{ID: 4, Size: 8192, PageSize: 1024, UserPaged: true},
+		"*dsm.FaultError":    &dsm.FaultError{Seg: 4, Page: 3, Write: true},
 
 		"builtin:nil":      nil,
 		"builtin:true":     true,
@@ -136,8 +131,8 @@ func samples() map[string]any {
 }
 
 // TestSizeMatchesEncode pins EncodedSize == len(EncodeValue) for every
-// message kind — the size accounting the transport reports is exactly the
-// bytes it writes.
+// message kind — the encoder's counting mode against its appending mode, so
+// the size both links charge is exactly the bytes the codec writes.
 func TestSizeMatchesEncode(t *testing.T) {
 	for name, v := range samples() {
 		enc, err := EncodeValue(v)
@@ -163,8 +158,8 @@ func TestSamplesCoverEveryRegisteredType(t *testing.T) {
 		if v == nil {
 			continue
 		}
-		if id, tc := lookupType(v); tc != nil {
-			covered[id] = name
+		if tc := lookupType(v); tc != nil {
+			covered[tc.id] = name
 		}
 	}
 	for id, name := range RegisteredTypes() {
@@ -226,14 +221,19 @@ func TestUnencodableValueFails(t *testing.T) {
 	if _, err := EncodedSize(unregistered{1}); !errors.Is(err, ErrUnencodable) {
 		t.Fatalf("size of unregistered type: err=%v, want ErrUnencodable", err)
 	}
-	// Nested inside a registered carrier: the envelope payload is sized via
-	// SizeValue, whose failure must surface as an error, not a panic.
-	env := reliable.Envelope{Seq: 1, Kind: "x", Payload: unregistered{2}}
-	if _, err := EncodeValue(env); !errors.Is(err, ErrUnencodable) {
-		t.Fatalf("encode with unencodable payload: err=%v", err)
+	// Nested inside a registered carrier (internal/reliable's tests do the
+	// same through an envelope): the failure must surface as an error, not
+	// a panic, in both modes.
+	eb := &event.Block{Name: event.Interrupt, User: map[string]any{"u": unregistered{2}}}
+	if _, err := EncodeValue(eb); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("encode with unencodable user value: err=%v", err)
 	}
-	if _, err := EncodedSize(env); !errors.Is(err, ErrUnencodable) {
-		t.Fatalf("size with unencodable payload: err=%v", err)
+	if _, err := EncodedSize(eb); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("size with unencodable user value: err=%v", err)
+	}
+	// A failed count leaves nothing behind in the pooled counter.
+	if n, err := EncodedSize(7); err != nil || n != 2 {
+		t.Fatalf("size after a failed count: n=%d err=%v, want 2", n, err)
 	}
 }
 
@@ -312,21 +312,20 @@ func TestSentinelIdentity(t *testing.T) {
 // produce an error, not a panic or an allocation blowup.
 func TestCorruptInputs(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":                 {},
-		"unknown tag":           {200, 1}, // tag 200 unregistered
-		"truncated string":      {tagString, 10, 'a'},
-		"truncated bytes":       {tagBytes, 0xff, 0xff, 0x03},
-		"huge slice count":      {tagSliceAny, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"huge map count":        {tagMapStrAny, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"non-minimal uvarint":   {tagUint64, 0x80, 0x00},
-		"non-minimal varint":    {tagInt64, 0x80, 0x00},
-		"bad bool in block":     append([]byte{firstTypeTag + idEventBlock}, 7),
-		"uint32 overflow":       {tagUint32, 0xff, 0xff, 0xff, 0xff, 0x1f},
-		"trailing bytes":        {tagNil, 0},
-		"error truncated":       {tagError, 5},
-		"stamp truncated":       {firstTypeTag + idEventStamp, 4},
-		"ref wrong slot type":   {firstTypeTag + idHandlerRef, tagNil},
-		"env payload truncated": {firstTypeTag + idEnvelope, 1, 1, 'k'},
+		"empty":               {},
+		"unknown tag":         {200, 1}, // tag 200 unregistered
+		"truncated string":    {tagString, 10, 'a'},
+		"truncated bytes":     {tagBytes, 0xff, 0xff, 0x03},
+		"huge slice count":    {tagSliceAny, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"huge map count":      {tagMapStrAny, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"non-minimal uvarint": {tagUint64, 0x80, 0x00},
+		"non-minimal varint":  {tagInt64, 0x80, 0x00},
+		"bad bool in block":   append([]byte{firstTypeTag + idEventBlock}, 7),
+		"uint32 overflow":     {tagUint32, 0xff, 0xff, 0xff, 0xff, 0x1f},
+		"trailing bytes":      {tagNil, 0},
+		"error truncated":     {tagError, 5},
+		"stamp truncated":     {firstTypeTag + idEventStamp, 4},
+		"ref wrong slot type": {firstTypeTag + idHandlerRef, tagNil},
 	}
 	for name, src := range cases {
 		if _, err := DecodeValue(src); err == nil {
@@ -343,6 +342,9 @@ func TestDeepNestingRejected(t *testing.T) {
 	}
 	if _, err := EncodeValue(deep); !errors.Is(err, ErrUnencodable) {
 		t.Fatalf("deep encode: err=%v, want ErrUnencodable", err)
+	}
+	if _, err := EncodedSize(deep); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("deep size: err=%v, want ErrUnencodable", err)
 	}
 
 	var crafted []byte

@@ -177,8 +177,10 @@ type sustainedPayload struct {
 	Slow bool
 }
 
-// WireSize charges the envelope like a small kernel message.
-func (*sustainedPayload) WireSize() int { return 32 }
+// sustainedSize is the Message.Size of one workload event: it has no wire
+// codec (it only ever crosses netsim), so it is charged like a small kernel
+// message — the unit E15's DWRR quantum and E13's net KB are stated in.
+const sustainedSize = 32
 
 // latRecorder accumulates completion latencies for one node, so concurrent
 // dispatch workers on different nodes never contend on one lock.
@@ -281,7 +283,7 @@ func RunSustained(cfg SustainedConfig) (SustainedResult, error) {
 					time.Sleep(cfg.SlowDelay)
 				}
 				select {
-				case outbox <- netsim.Message{From: node, To: m.From, Kind: kindResp, Payload: p}:
+				case outbox <- netsim.Message{From: node, To: m.From, Kind: kindResp, Payload: p, Size: sustainedSize}:
 				default:
 					respShed.Add(1)
 				}
@@ -337,7 +339,7 @@ func RunSustained(cfg SustainedConfig) (SustainedResult, error) {
 				if frac(next()) < invokeFrac {
 					kind = kindReq
 				}
-				err := fab.Send(netsim.Message{From: node, To: dest, Kind: kind, Payload: p, Class: cls})
+				err := fab.Send(netsim.Message{From: node, To: dest, Kind: kind, Payload: p, Size: sustainedSize, Class: cls})
 				if err != nil {
 					if rejCtr != nil && errors.Is(err, netsim.ErrBackpressure) {
 						rejCtr.Add(1)
