@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test shuffle race bench bench-smoke bench-batch doctbench doctbench-pair chaos chaos-soak noisy-soak sim sim-soak recovery-soak fuzz-smoke tcp-smoke wal-smoke loc lint-imports check
+.PHONY: all vet build test shuffle race flake bench bench-smoke bench-batch doctbench doctbench-pair chaos chaos-soak noisy-soak sim sim-soak recovery-soak fuzz-smoke tcp-smoke wal-smoke loc lint-imports check
 
 all: check
 
@@ -24,6 +24,16 @@ shuffle:
 # under the race detector.
 race:
 	$(GO) test -race ./internal/...
+
+# flake tallies one test's failure rate: N runs, each in its own
+# `go test -count=1` process, printed as fail/total with the first failing
+# output. Run it at both commits when a PR reports (or fixes) a flake.
+#   make flake P=./internal/core T=TestMigrationStressExactlyOnce N=20 [RACE=-race]
+P ?= ./internal/core
+T ?= TestMigrationStressExactlyOnce
+RACE ?=
+flake:
+	bash scripts/flake.sh $(P) $(T) $(N) $(RACE)
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -75,9 +85,14 @@ bench-batch:
 # under message loss, partition-and-heal, crash recovery, bounded
 # synchronous raises), the gossip failure-detector and reliable-transport
 # unit tests, the doct fault-injection facade, and the doctsim chaos scenario.
+# The one-way asynchronous raise rides along: it returns before delivery and
+# still runs its handler exactly once under loss (core), the reliable layer's
+# first transmission leaves on the sender's goroutine (in the reliable suite),
+# and one goroutine's sends arrive in program order on both links.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestRaiseAndWaitTimeout' ./internal/core/
+	$(GO) test -race -run 'TestChaos|TestRaiseAndWaitTimeout|TestAsyncRaiseReturnsBeforeDelivery' ./internal/core/
 	$(GO) test -race ./internal/failure/ ./internal/reliable/
+	$(GO) test -race -run 'TestReliableSendsArriveInProgramOrder' ./internal/transport/transporttest/
 	$(GO) test -race -run 'TestFacade|TestScenarioChaos' ./doct/ ./cmd/doctsim/
 
 # chaos-soak repeats the chaos suite under the race detector on the real

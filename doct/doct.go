@@ -353,7 +353,10 @@ func (s *System) SpawnApp(node NodeID, app string, obj ObjectID, entry string, a
 }
 
 // Raise raises an event asynchronously from outside any thread (e.g. a ^C
-// at the controlling terminal, §6.3). It originates at node.
+// at the controlling terminal, §6.3). It originates at node. At an object on
+// another node nil means handed to the reliable layer, not accepted there:
+// only a refused send is returned, later failures are counted (core.err.dropped.*;
+// net.msg.dropped alone with fault tolerance off). A local object's lookup fails here.
 func (s *System) Raise(node NodeID, name EventName, target Target, user map[string]any) error {
 	return s.core.Raise(node, name, target, user)
 }

@@ -2,8 +2,11 @@ package doct
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 func ftSystem(t *testing.T, nodes int) *System {
@@ -197,27 +200,43 @@ func TestFacadeRecoverObjects(t *testing.T) {
 	}
 }
 
-// TestFacadeDropRateLossy: with the subsystem off and everything dropped,
-// a raise into the void fails instead of succeeding silently.
+// TestFacadeDropRateLossy: with the subsystem off and everything dropped, a
+// synchronous raise into the void fails within its timeout; an asynchronous
+// one waits for nothing, so it returns nil and the loss shows in
+// net.msg.dropped. Both get through once the fabric is restored.
 func TestFacadeDropRateLossy(t *testing.T) {
 	sys := newSystem(t, Config{Nodes: 2, CallTimeout: 200 * time.Millisecond})
+	var handled atomic.Int64
 	obj, err := sys.CreateObject(2, ObjectSpec{
 		Name: "sink",
 		Handlers: map[EventName]Handler{
-			EvInterrupt: func(_ Ctx, _ HandlerRef, _ *EventBlock) Verdict { return Resume },
+			EvInterrupt: func(_ Ctx, _ HandlerRef, _ *EventBlock) Verdict {
+				handled.Add(1)
+				return Resume
+			},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dropped := func() int64 { return sys.Metrics().Get("net.msg.dropped") }
 	sys.SetDropRate(1.0)
-	if err := sys.Raise(1, EvInterrupt, ToObject(obj), nil); err == nil {
-		t.Fatal("raise through a fully lossy fabric succeeded")
+	if _, err := sys.RaiseAndWait(1, EvInterrupt, ToObject(obj), nil); err == nil {
+		t.Fatal("raise_and_wait through a fully lossy fabric succeeded")
 	}
-	sys.SetDropRate(0)
+	before := dropped()
 	if err := sys.Raise(1, EvInterrupt, ToObject(obj), nil); err != nil {
-		t.Fatalf("after restoring the fabric: %v", err)
+		t.Fatalf("asynchronous raise waited for the lossy fabric: %v", err)
 	}
+	testutil.WaitFor(t, "the lost post to show in net.msg.dropped", func() bool { return dropped() > before })
+	sys.SetDropRate(0)
+	if _, err := sys.RaiseAndWait(1, EvInterrupt, ToObject(obj), nil); err != nil {
+		t.Fatalf("raise_and_wait after restoring the fabric: %v", err)
+	}
+	if err := sys.Raise(1, EvInterrupt, ToObject(obj), nil); err != nil {
+		t.Fatalf("raise after restoring the fabric: %v", err)
+	}
+	testutil.WaitFor(t, "both surviving raises to be handled", func() bool { return handled.Load() == 2 })
 }
 
 // TestFacadeCrashedNodeRejectsWork: spawns and restarts are validated

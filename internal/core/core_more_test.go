@@ -10,6 +10,9 @@ import (
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/object"
+	"repro/internal/reliable"
+	"repro/internal/testutil"
+	"repro/internal/transport"
 )
 
 // TestScenarioUnderLatencyAndJitter runs a full multi-node scenario over a
@@ -892,5 +895,29 @@ func TestDroppedErrorsAreCounted(t *testing.T) {
 	}
 	if total := snap.Get(metrics.CtrErrDropped); total != before+2 {
 		t.Errorf("%s rose by %d over the two lost releases, want 2", metrics.CtrErrDropped, total-before)
+	}
+
+	// An asynchronous raise at a remote object is one-way: a send refused
+	// outright goes back to the raiser and is not counted; a dead letter, a
+	// payload of the wrong type and a target the home node does not hold are
+	// what the post's reply used to report, so they must show here.
+	before = snap.Get(metrics.CtrErrDropped)
+	nowhere := event.ToObject(ids.NewObjectID(9, 1)) // no node 9
+	if err := sys.Raise(1, event.Interrupt, nowhere, nil); !errors.Is(err, transport.ErrUnknownNode) {
+		t.Errorf("raise at an object on a node that does not exist: %v, want ErrUnknownNode", err)
+	}
+	gone := &event.Block{Name: event.Interrupt, Target: event.ToObject(ids.NewObjectID(1, 999))}
+	k.deadLetter(2, kindEvObject, objectEventReq{EB: gone}, reliable.ErrUndeliverable)
+	k.dispatchNet(2, kindEvObject, "not an objectEventReq")
+	k.dispatchNet(2, kindEvObject, objectEventReq{EB: gone})
+	testutil.WaitFor(t, "the failed lookup to be counted", func() bool {
+		return sys.Metrics().Get(metrics.ErrDropped("raise_async")) == 2
+	})
+	snap = sys.Metrics().Snapshot()
+	if n := snap.Get(metrics.ErrDropped("raise_send")); n != 1 {
+		t.Errorf("%s = %d, want 1", metrics.ErrDropped("raise_send"), n)
+	}
+	if total := snap.Get(metrics.CtrErrDropped); total != before+3 {
+		t.Errorf("%s rose by %d over one dead letter and two receive-side failures, want 3", metrics.CtrErrDropped, total-before)
 	}
 }

@@ -18,7 +18,9 @@ import (
 
 // raise is the asynchronous raise system call (§5.3): the raiser does not
 // block. raiser is nil when the kernel or an external agent (the user's ^C)
-// raises the event.
+// raises the event. At a remote object nil means handed to the reliable
+// layer, not accepted there: later failures are counted (core.err.dropped.*;
+// FT off: net.msg.dropped only). A local object still reports its lookup error.
 func (k *Kernel) raise(raiser *activation, name event.Name, target event.Target, user map[string]any) error {
 	eb, err := k.newBlock(raiser, name, target, user)
 	if err != nil {
@@ -738,17 +740,11 @@ func (k *Kernel) systemActivation(obj *object.Object, attrs *thread.Attributes) 
 // is suspected — is counted; the raiser is bounded by RaiseTimeout.
 func (k *Kernel) releaseRaiser(eb *event.Block, verdict event.Verdict, consumed bool, relErr error) {
 	rel := releaseReq{ID: eb.SyncID, Verdict: verdict, Consumed: consumed, Err: relErr}
-	to := eb.RaiserNode
-	switch {
-	case to == k.node:
+	if eb.RaiserNode == k.node {
 		k.release(rel)
-	case k.crashedLocal():
-		k.sys.dropErr("release_send", ErrNodeCrashed)
-	case k.det != nil && k.det.Suspected(to):
-		k.sys.dropErr("release_send", ErrNodeDown)
-	default:
-		k.sys.dropErr("release_send", k.netSend(to, kindEvRelease, rel))
+		return
 	}
+	k.sys.dropErr("release_send", k.send(eb.RaiserNode, kindEvRelease, rel))
 }
 
 // errReleaseLost names a release dropped at a waiter whose buffer is full.
@@ -778,18 +774,21 @@ type objectEventReply struct {
 	Consumed bool
 }
 
-// raiseToObject routes the event to the object's home node. For
+// raiseToObject routes the event to the object's home node. An asynchronous
+// raise at a remote object is one one-way message (§5.3: the raiser does
+// not block); what the home node makes of it is counted there. For
 // synchronous raises the reply releases the raiser directly.
 func (k *Kernel) raiseToObject(eb *event.Block, oid ids.ObjectID) error {
-	home := oid.Home()
-	var (
-		body any
-		err  error
-	)
-	if home == k.node {
-		body, err = k.serveObjectEvent(objectEventReq{EB: eb})
-	} else {
-		body, err = k.call(home, kindEvObject, objectEventReq{EB: eb})
+	home, req := oid.Home(), objectEventReq{EB: eb}
+	var body any
+	var err error
+	switch {
+	case home == k.node:
+		body, err = k.serveObjectEvent(req)
+	case !eb.Sync:
+		return k.send(home, kindEvObject, req)
+	default:
+		body, err = k.call(home, kindEvObject, req)
 	}
 	if !eb.Sync {
 		return err

@@ -130,9 +130,14 @@ func (k *Kernel) initFT() {
 // subtree here (fanout.go): its members and grandchildren are served by
 // this node instead of being orphaned mid-broadcast.
 func (k *Kernel) deadLetter(to ids.NodeID, kind string, payload any, err error) {
-	if kind == kindEvRelease {
+	switch kind {
+	case kindEvRelease:
 		// One-way, so no waiter to fail: the raiser runs into RaiseTimeout.
 		k.sys.dropErr("release_send", err)
+		return
+	case kindEvObject:
+		// One-way and asynchronous: the raiser left long ago.
+		k.sys.dropErr("raise_send", err)
 		return
 	}
 	if kind == kindFanout {
@@ -140,14 +145,7 @@ func (k *Kernel) deadLetter(to ids.NodeID, kind string, payload any, err error) 
 		if !ok {
 			return
 		}
-		if idx := req.nodeIndex(to); idx >= 0 && !k.crashedLocal() {
-			k.closingMu.RLock()
-			if k.closing {
-				k.closingMu.RUnlock()
-				return
-			}
-			k.wg.Add(1)
-			k.closingMu.RUnlock()
+		if idx := req.nodeIndex(to); idx >= 0 && !k.crashedLocal() && k.track() {
 			go func() {
 				defer k.wg.Done()
 				k.adoptFanoutSubtree(req, idx)

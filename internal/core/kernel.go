@@ -283,16 +283,9 @@ func (k *Kernel) dispatchNet(from ids.NodeID, kind string, payload any) {
 		if !ok {
 			return
 		}
-		// The fabric dispatch goroutine is not tracked by k.wg, so this Add
-		// must not race shutdown's Wait; once closing, the request is
-		// discarded like any other message to a dying cluster.
-		k.closingMu.RLock()
-		if k.closing {
-			k.closingMu.RUnlock()
+		if !k.track() {
 			return
 		}
-		k.wg.Add(1)
-		k.closingMu.RUnlock()
 		go func() {
 			defer k.wg.Done()
 			body, err := k.serve(req.From, req.Kind, req.Body)
@@ -326,18 +319,37 @@ func (k *Kernel) dispatchNet(from ids.NodeID, kind string, payload any) {
 		}
 		// Like msgRPCReq service: deliveries and relays block on kernel
 		// calls, so they cannot run on the fabric dispatch goroutine.
-		k.closingMu.RLock()
-		if k.closing {
-			k.closingMu.RUnlock()
+		if !k.track() {
 			return
 		}
-		k.wg.Add(1)
-		k.closingMu.RUnlock()
 		go func() {
 			defer k.wg.Done()
 			k.serveFanout(req)
 		}()
+	case kindEvObject:
+		// An asynchronous raise at an object here, one-way: served like a
+		// request, and what the reply used to report is counted.
+		if !k.track() {
+			return
+		}
+		go func() {
+			defer k.wg.Done()
+			_, err := k.serve(from, kind, payload)
+			k.sys.dropErr("raise_async", err)
+		}()
 	}
+}
+
+// track registers one more goroutine with k.wg, or reports false once the
+// kernel is closing: the dispatch goroutine is not tracked by k.wg, so its
+// Add must not race shutdown's Wait; a dying cluster discards the message.
+func (k *Kernel) track() bool {
+	k.closingMu.RLock()
+	defer k.closingMu.RUnlock()
+	if !k.closing {
+		k.wg.Add(1)
+	}
+	return !k.closing
 }
 
 // netSend transmits one kernel protocol message, through the reliable
@@ -353,6 +365,20 @@ func (k *Kernel) netSend(to ids.NodeID, kind string, payload any) error {
 	return k.sys.fabric.Send(transport.Message{From: k.node, To: to, Kind: kind, Payload: payload, Class: class})
 }
 
+// send is netSend for a request or a one-way message, refused at once when
+// this node has crashed or the detector suspects to — no call timeout is
+// burnt against a node already declared dead. nil means handed over: a later
+// loss is deadLetter's to report.
+func (k *Kernel) send(to ids.NodeID, kind string, payload any) error {
+	if k.crashedLocal() {
+		return ErrNodeCrashed
+	}
+	if k.det != nil && k.det.Suspected(to) {
+		return ErrNodeDown
+	}
+	return k.netSend(to, kind, payload)
+}
+
 // call performs a synchronous kernel RPC to another node.
 func (k *Kernel) call(to ids.NodeID, kind string, body any) (any, error) {
 	if k.crashedLocal() {
@@ -361,16 +387,11 @@ func (k *Kernel) call(to ids.NodeID, kind string, body any) (any, error) {
 	if to == k.node {
 		return k.serve(k.node, kind, body)
 	}
-	if k.det != nil && k.det.Suspected(to) {
-		// Fail fast instead of burning the call timeout against a node the
-		// detector already declared dead.
-		return nil, fmt.Errorf("call %s to %v: %w", kind, to, ErrNodeDown)
-	}
 	id := k.reqSeq.Add(1)
 	ch := make(chan rpcResponse, 1)
 	k.waiters.put(id, to, ch)
 
-	err := k.netSend(to, msgRPCReq, rpcRequest{ID: id, Kind: kind, From: k.node, Body: body})
+	err := k.send(to, msgRPCReq, rpcRequest{ID: id, Kind: kind, From: k.node, Body: body})
 	if err != nil {
 		k.waiters.drop(id)
 		return nil, fmt.Errorf("call %s to %v: %w", kind, to, err)

@@ -19,9 +19,12 @@ import (
 // cached locations go stale constantly; the raiser on node 3 must still
 // get every event delivered exactly once — events that race into an
 // activation that is returning to its caller are rerouted, not dropped or
-// death-noticed — and the stale-entry counter must advance. Run under
-// -race (the Makefile's race target does) this doubles as the locking
-// proof for the cache + sharded kernel state.
+// death-noticed — and the stale-entry counter must advance. That last floor
+// is forced, not waited for: the first visit to node 2 is held until a raise
+// has cached it, and the thread is then held back home while a second raise
+// runs into the stale entry. Run under -race (the Makefile's race target
+// does) this doubles as the locking proof for the cache + sharded kernel
+// state.
 func TestMigrationStressExactlyOnce(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cache := locate.NewCache(locate.Broadcast{}, 256)
@@ -50,28 +53,23 @@ func TestMigrationStressExactlyOnce(t *testing.T) {
 	}
 
 	var hopCount atomic.Int64
+	// settled: the thread is resident at node 2, held there until release;
+	// home: it is back at node 1 with nothing left at node 2, held until resume.
+	settled, release := make(chan struct{}), make(chan struct{})
+	home, resume := make(chan struct{}), make(chan struct{})
 	hopOID, err := sys.CreateObject(2, object.Spec{
 		Name: "hop",
 		Entries: map[string]object.Entry{
-			// Dwell so the thread is genuinely resident at node 2 part of
-			// the time: locates then cache node 2 (Here) and go stale when
-			// the activation retires back to node 1, exercising the
-			// invalidate-and-relocate path rather than only the transit-host
-			// fallback. The dwell varies per visit — the fabric latency is
-			// an exact constant, and a fixed dwell phase-locks the bounce
-			// cycle with the raiser's probe cycle so probes always land in
-			// the same window.
+			// The first visit is the forced pair's: the thread stays resident
+			// here until released. Every later visit dwells a little, varying
+			// per visit — the fabric latency is an exact constant, and a fixed
+			// dwell phase-locks the bounce cycle with the raiser's cycle so
+			// posts always land in the same window.
 			"hop": func(object.Ctx, []any) ([]any, error) {
 				n := hopCount.Add(1)
-				if n%10 == 0 {
-					// A long dwell every tenth visit: several raises in a
-					// row find the thread settled here, so the first one
-					// caches the location and the following ones hit it. A
-					// raise cycle is a few milliseconds end to end (locate
-					// RTT + post RTT + the kernel's retry backoffs), so the
-					// dwell must span several of those.
-					time.Sleep(25 * time.Millisecond)
-					return nil, nil
+				if n == 1 {
+					close(settled)
+					<-release
 				}
 				time.Sleep(time.Duration(n%8) * 70 * time.Microsecond)
 				return nil, nil
@@ -96,9 +94,13 @@ func TestMigrationStressExactlyOnce(t *testing.T) {
 					return nil, err
 				}
 				started <- ctx.Thread()
-				for !stop.Load() {
+				for first := true; !stop.Load(); first = false {
 					if _, err := ctx.Invoke(hopOID, "hop"); err != nil {
 						return nil, err
+					}
+					if first {
+						close(home)
+						<-resume
 					}
 				}
 				return nil, nil
@@ -114,37 +116,52 @@ func TestMigrationStressExactlyOnce(t *testing.T) {
 	}
 	tid := <-started
 
-	// Raise until both floors are met: a minimum event count, and at least
-	// one stale cache entry detected (the migration actually raced the
-	// cache). A raise fails only transiently (the thread mid-flight
-	// everywhere and its TCB chain mid-update); retry the same sequence
-	// number so the delivered set stays dense. If the bouncer dies, fail
-	// immediately with its error instead of retrying forever.
-	const (
-		minEvents = 200
-		maxEvents = 2000
-	)
+	// A raise fails only transiently (the thread mid-flight everywhere and
+	// its TCB chain mid-update); retry the same sequence number so the
+	// delivered set stays dense. If the bouncer dies, fail immediately with
+	// its error instead of retrying forever.
 	sent := 0
 	sendDeadline := time.Now().Add(60 * time.Second)
-	for sent < maxEvents {
-		select {
-		case <-h.Done():
-			_, werr := h.Wait()
-			t.Fatalf("bouncer died after %d raises: %v", sent, werr)
-		default:
-		}
-		if time.Now().After(sendDeadline) {
-			t.Fatalf("raise loop stalled: only %d/%d events accepted before deadline", sent, minEvents)
-		}
-		err := sys.Raise(3, "MIGEV", event.ToThread(tid), map[string]any{"seq": sent})
-		if err != nil {
+	raise := func() {
+		for {
+			select {
+			case <-h.Done():
+				_, werr := h.Wait()
+				t.Fatalf("bouncer died after %d raises: %v", sent, werr)
+			default:
+			}
+			if time.Now().After(sendDeadline) {
+				t.Fatalf("raise loop stalled: only %d events accepted before deadline", sent)
+			}
+			if err := sys.Raise(3, "MIGEV", event.ToThread(tid), map[string]any{"seq": sent}); err == nil {
+				sent++
+				return
+			}
 			time.Sleep(time.Millisecond)
-			continue
 		}
-		sent++
-		if sent >= minEvents && reg.Get(metrics.CtrLocateCacheStale) > 0 {
-			break
-		}
+	}
+
+	// The forced pair: a raise at the settled thread caches node 2; once the
+	// thread has gone home that entry is stale, and whichever post meets it
+	// first — the next raise, or the first event rerouted out of the
+	// returning activation — must charge the counter.
+	<-settled
+	raise()
+	if cache.Len() != 1 {
+		t.Fatalf("a raise at a settled thread cached %d locations, want 1", cache.Len())
+	}
+	close(release)
+	<-home
+	raise()
+	if got := reg.Get(metrics.CtrLocateCacheStale); got == 0 {
+		t.Fatal("stale-entry counter did not advance: a post met a stale cached location and was not charged")
+	}
+	close(resume)
+
+	// Then the stress: the thread bounces freely under the raises.
+	const events = 200
+	for sent < events {
+		raise()
 	}
 
 	// Every accepted raise must eventually be delivered (rerouted events
@@ -179,9 +196,6 @@ func TestMigrationStressExactlyOnce(t *testing.T) {
 	}
 	if len(seen) != sent {
 		t.Errorf("delivered %d distinct events, want %d", len(seen), sent)
-	}
-	if got := reg.Get(metrics.CtrLocateCacheStale); got == 0 {
-		t.Error("stale-entry counter did not advance while the thread migrated")
 	}
 	if reg.Get(metrics.CtrLocateCacheHit) == 0 {
 		t.Error("cache hit counter is zero; the cache never served a location")

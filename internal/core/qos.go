@@ -94,6 +94,9 @@ func msgClass(kind string, payload any) transport.Class {
 		// A release unblocks a synchronous raiser: control, never
 		// tenant-shed.
 		return transport.ClassControl
+	case kindEvObject:
+		// An asynchronous raise, one-way: a tenant event like its request form.
+		return rpcClass(kind, payload)
 	}
 	return transport.ClassSystem
 }

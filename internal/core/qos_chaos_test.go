@@ -37,6 +37,22 @@ func (g gatedFabric) Attach(n ids.NodeID, h transport.Handler) error {
 	return g.Fabric.Attach(n, h)
 }
 
+// waitRetriesQuiet returns once no reliable send is waiting for an ack any
+// more. A send still awaiting one retransmits at least every RetryMax, so a
+// retry counter that stays put for longer than that means none is — and no
+// straggler is left to run a handler twice.
+func waitRetriesQuiet(t *testing.T, reg *metrics.Registry) {
+	t.Helper()
+	last, since := int64(-1), time.Time{}
+	testutil.WaitFor(t, "retransmits to go quiet", func() bool {
+		if n := reg.Get(metrics.CtrRelRetry); n != last {
+			last, since = n, time.Now()
+			return false
+		}
+		return time.Since(since) > reliable.DefaultRetryMax
+	})
+}
+
 // TestChaosQoSBackpressureExactlyOnce runs tenant-class raises through a
 // deliberately tiny admission budget (one message per shard) on a lossy
 // fabric (10% drop) with FT on, and checks the §15 QoS layer composes with
@@ -92,9 +108,9 @@ func TestChaosQoSBackpressureExactlyOnce(t *testing.T) {
 	// One flooder object per remote node, eight "tenant" threads each:
 	// every raise happens inside an app-labelled activation, so it is
 	// classified through QoS.Apps at the newBlock site. A remote object
-	// raise is a waited RPC, so one thread keeps only one envelope in
-	// flight — the 56 concurrent threads are what drives simultaneous
-	// arrivals into the one-slot budget.
+	// raise is one one-way envelope, so each thread puts its five in flight
+	// at once and the 56 threads' 280 arrive together at the one-slot
+	// budget.
 	const nodes, threadsPer, perThread = 7, 8, 5
 	handles := make([]*Handle, 0, nodes*threadsPer)
 	for r := 0; r < nodes; r++ {
@@ -138,16 +154,7 @@ func TestChaosQoSBackpressureExactlyOnce(t *testing.T) {
 	const want = nodes * threadsPer * perThread
 	testutil.WaitFor(t, "all handlers to run", func() bool { return handled.Load() >= want })
 	// Straggler retransmits of shed copies must not double-run a handler.
-	// A send still awaiting its ack retransmits at least every RetryMax, so
-	// a retry counter that stays put for longer than that means none is.
-	lastRetries, since := int64(-1), time.Time{}
-	testutil.WaitFor(t, "retransmits to go quiet", func() bool {
-		if n := cfg.Metrics.Get(metrics.CtrRelRetry); n != lastRetries {
-			lastRetries, since = n, time.Now()
-			return false
-		}
-		return time.Since(since) > reliable.DefaultRetryMax
-	})
+	waitRetriesQuiet(t, cfg.Metrics)
 	if got := handled.Load(); got != want {
 		t.Errorf("handler ran %d times for %d raises, want exactly once each", got, want)
 	}

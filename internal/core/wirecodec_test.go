@@ -262,6 +262,7 @@ func TestMsgClass(t *testing.T) {
 	}{
 		{kindEvRelease, releaseReq{ID: 1}, transport.ClassControl},
 		{kindFanout, &fanoutReq{EB: tenant}, 7},
+		{kindEvObject, objectEventReq{EB: tenant}, 7}, // the one-way post of an asynchronous raise
 		{msgRPCReq, rpc(kindEvThread, tenant), 7},
 		{msgRPCReq, rpc(kindEvObject, objectEventReq{EB: tenant}), 7},
 		{msgRPCReq, rpc(kindHandlerRun, handlerRunReq{EB: tenant}), 7},

@@ -31,6 +31,10 @@ const e10Raised = 40
 // e10Locks is how many locks threads on the doomed node hold at the crash.
 const e10Locks = 3
 
+// e10Pace spaces a raiser's one-way raises wider than the coalescer's flush
+// window: unpaced its ten share two frames — 8 loss draws for 40 events.
+const e10Pace = time.Millisecond
+
 // e10Waiters is how many remote callers are blocked in the doomed node.
 const e10Waiters = 2
 
@@ -203,9 +207,8 @@ func runE10Cell(drop float64, crash, ft bool) []string {
 	sys.SetDropRate(drop)
 
 	// Phase 1: async raises across the lossy fabric. Without the subsystem
-	// a dropped request is gone for good once the raise call returns
-	// (after burning its timeout); with it, the envelope retransmits until
-	// the sink's kernel acks.
+	// a dropped post is gone for good, and the raiser never hears of it;
+	// with it, the envelope retransmits until the sink's kernel acks.
 	var wg sync.WaitGroup
 	const raisers = 4
 	for r := 0; r < raisers; r++ {
@@ -215,6 +218,7 @@ func runE10Cell(drop float64, crash, ft bool) []string {
 			defer wg.Done()
 			for i := 0; i < e10Raised/raisers; i++ {
 				_ = sys.Raise(node, event.Interrupt, event.ToObject(sink), nil)
+				time.Sleep(e10Pace)
 			}
 		}()
 	}

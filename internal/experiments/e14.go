@@ -52,9 +52,9 @@ func RunE14(ops int) Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"2 nodes, FT off; invoke = 200 synchronous no-op round trips node 1 → node 2, raise = 200 async interrupts at a remote sink.",
+		"2 nodes, FT off; invoke = 200 synchronous no-op round trips node 1 → node 2, raise = 200 async interrupts at a remote sink, one one-way message each.",
 		"wire B boots one System per node over loopback sockets (internal/transport/tcptransport); sim B is netsim on the identical workload. Both charge wire.EncodedSize(payload) per message.",
-		"the residual is framing: a TCP record adds its kind, From/To/Class varints and two length prefixes (~14 B here); a netsim message adds its kind and one prefix only when it rides a coalesced frame (~10 B, about half of these messages).",
+		"the residual is framing: a TCP record adds its kind, From/To/Class varints and two length prefixes (~14 B here); a netsim message adds its kind and one prefix only when it rides a coalesced frame (~10 B: about half of the invoke messages, nearly every one-way raise).",
 	)
 	return t
 }

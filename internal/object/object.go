@@ -60,7 +60,9 @@ type Ctx interface {
 	DetachHandler(name event.Name) error
 	// RegisterEvent names a user event with the operating system (§3).
 	RegisterEvent(name event.Name) error
-	// Raise raises an event asynchronously (§5.3).
+	// Raise raises an event asynchronously (§5.3). At an object on another
+	// node nil means sent, not accepted there (see doct.System.Raise); an
+	// object on the caller's node still reports its lookup error.
 	Raise(name event.Name, target event.Target, user map[string]any) error
 	// RaiseAndWait raises an event synchronously: the calling thread
 	// blocks until a handler explicitly resumes (or terminates) it (§5.3).

@@ -14,6 +14,13 @@
 // ack message is sent only when no reverse traffic shows up within the
 // flush window, or at once in answer to a duplicate.
 //
+// SendClass makes the first transmission itself, on the caller's goroutine,
+// so one goroutine's sends reach the link in program order; only the retry
+// loop runs in the background. A send can block on the fabric's Send (a full
+// netsim FIFO inbox, never a timer; TCP's Send only queues) and, once
+// maxInFlight sends to the peer are unacked, on the ack or dead letter that
+// retires one — so no caller may hold a lock the receive path takes.
+//
 // A send that exhausts its retry budget goes to the endpoint's dead-letter
 // callback instead of vanishing: the kernel uses it to fail the waiting
 // RPC caller promptly, which is how an undeliverable post becomes a
@@ -57,6 +64,12 @@ const (
 	DefaultWindow      = 4096
 	DefaultAckDelay    = time.Millisecond
 )
+
+// maxInFlight bounds the unacked sends toward one peer. Nothing else paces a
+// one-way sender: unbounded, its backlog at the receiver outlasts the retry
+// timer, every queued envelope is resent and every copy acked, and the
+// fabric's bounded inboxes fill both ways. Well under the dedup window.
+const maxInFlight = 256
 
 // Config parameterizes an Endpoint.
 type Config struct {
@@ -232,6 +245,7 @@ type peerState struct {
 	// Outbound.
 	seq     uint64                   // last sequence allocated toward this peer
 	pending map[uint64]chan struct{} // seq → closed when acked
+	room    sync.Cond                // on mu: a pending send retired, or Close
 
 	// Inbound.
 	gen      uint64          // peer's incarnation the window below belongs to
@@ -289,6 +303,7 @@ func (e *Endpoint) peer(n ids.NodeID) *peerState {
 		pending: make(map[uint64]chan struct{}),
 		seen:    make(map[uint64]bool),
 	}
+	p.room.L = &p.mu
 	e.peers[n] = p
 	return p
 }
@@ -319,15 +334,25 @@ func (e *Endpoint) Close() {
 			if p.ackTimer != nil {
 				p.ackTimer.Stop()
 			}
+			p.room.Broadcast()
 			p.mu.Unlock()
 		}
 	})
 	e.wg.Wait()
 }
 
+func (e *Endpoint) isClosed() bool {
+	select {
+	case <-e.closed:
+		return true
+	default:
+		return false
+	}
+}
+
 // Send transmits payload to the peer under kind with at-least-once
-// semantics. It returns immediately; retransmission runs in the
-// background and failures surface through the dead-letter callback.
+// semantics. It returns once the first transmission has left; the rest runs
+// in the background and every failure surfaces through the dead-letter callback.
 func (e *Endpoint) Send(to ids.NodeID, kind string, payload any) error {
 	return e.SendClass(to, kind, payload, transport.ClassDefault)
 }
@@ -338,11 +363,9 @@ func (e *Endpoint) Send(to ids.NodeID, kind string, payload any) error {
 // themselves into a higher class.
 func (e *Endpoint) SendClass(to ids.NodeID, kind string, payload any, class transport.Class) error {
 	e.closeMu.RLock()
-	select {
-	case <-e.closed:
+	if e.isClosed() {
 		e.closeMu.RUnlock()
 		return transport.ErrClosed
-	default:
 	}
 	e.wg.Add(1)
 	e.closeMu.RUnlock()
@@ -350,6 +373,9 @@ func (e *Endpoint) SendClass(to ids.NodeID, kind string, payload any, class tran
 	ackCh := make(chan struct{})
 	p := e.peer(to)
 	p.mu.Lock()
+	for len(p.pending) >= maxInFlight && !e.isClosed() {
+		p.room.Wait()
+	}
 	p.seq++
 	seq := p.seq
 	p.pending[seq] = ackCh
@@ -364,28 +390,32 @@ func (e *Endpoint) SendClass(to ids.NodeID, kind string, payload any, class tran
 	pe := pendingEnv{e: e, to: to, env: Envelope{
 		Seq: seq, Gen: e.cfg.Generation, Kind: kind, Payload: payload, AckCum: cum,
 	}}
-	go e.transmit(pe, transport.SizeOf(pe.env), class, ackCh)
+	m := transport.Message{
+		From: e.self, To: to, Kind: KindData, Class: class, Size: transport.SizeOf(pe.env),
+		Payload: pe,
+	}
+	// The first transmission leaves here, with no endpoint lock held; the
+	// loop takes over with its result.
+	err := e.send(m)
+	go e.retransmit(m, ackCh, err)
 	return nil
 }
 
-// transmit drives one send's retry loop: (re)send, wait backoff for the
-// ack, double the backoff, repeat up to the attempt budget. Every copy
-// reads its piggybacked ack at departure (pendingEnv), so even a
-// retransmitted or batch-delayed envelope carries the receive frontier
-// current when it hits the wire.
-func (e *Endpoint) transmit(pe pendingEnv, size int, class transport.Class, ackCh chan struct{}) {
+// retransmit drives one send's retry loop from the first attempt's result:
+// wait backoff for the ack, double the backoff, resend, up to the attempt
+// budget. Every copy reads its piggybacked ack at departure (pendingEnv), so
+// even a retransmitted or batch-delayed envelope carries the receive
+// frontier current when it hits the wire.
+func (e *Endpoint) retransmit(m transport.Message, ackCh chan struct{}, err error) {
 	defer e.wg.Done()
-	env := pe.env.(Envelope)
-	to, kind, payload, seq := pe.to, env.Kind, env.Payload, env.Seq
+	env := m.Payload.(pendingEnv).env.(Envelope)
+	to, kind, payload, seq := m.To, env.Kind, env.Payload, env.Seq
 	backoff := e.cfg.RetryBase
 	for attempt := 0; attempt < e.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			e.ctrRetry.Add(1)
+			err = e.send(m)
 		}
-		err := e.send(transport.Message{
-			From: e.self, To: to, Kind: KindData, Class: class, Size: size,
-			Payload: pe,
-		})
 		if err != nil && !errors.Is(err, transport.ErrBackpressure) {
 			// Structural failure (unknown node, fabric closed): retrying
 			// cannot help.
@@ -487,6 +517,7 @@ func (e *Endpoint) dropPending(to ids.NodeID, seq uint64) {
 	if p := e.lookup(to); p != nil {
 		p.mu.Lock()
 		delete(p.pending, seq)
+		p.room.Broadcast()
 		p.mu.Unlock()
 	}
 }
@@ -511,6 +542,7 @@ func (e *Endpoint) retire(from ids.NodeID, seq, cum uint64) {
 			delete(p.pending, s)
 		}
 	}
+	p.room.Broadcast()
 	p.mu.Unlock()
 	for _, ch := range done {
 		close(ch)
@@ -617,10 +649,8 @@ func (e *Endpoint) scheduleAck(to ids.NodeID) {
 // outstanding (no envelope piggybacked it meanwhile), send a standalone
 // ack for the most recently received sequence.
 func (e *Endpoint) flushAck(to ids.NodeID) {
-	select {
-	case <-e.closed:
+	if e.isClosed() {
 		return
-	default:
 	}
 	p := e.peer(to)
 	p.mu.Lock()

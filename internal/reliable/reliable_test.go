@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 )
 
 // pendingCount reads how many sends to peer n are still awaiting an ack.
@@ -165,6 +166,127 @@ func TestStructuralSendErrorDeadLettersImmediately(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("structural failure did not dead-letter promptly")
+	}
+}
+
+// TestFirstTransmissionOnCallerGoroutine: SendClass makes the first attempt
+// itself, so the link has seen send n before SendClass n returns and one
+// goroutine's sends depart in program order; the background loop starts
+// from that attempt's result — a backpressured first attempt is retried and
+// has used one attempt of the budget, a structural error dead-letters
+// without a second transmission.
+func TestFirstTransmissionOnCallerGoroutine(t *testing.T) {
+	type deadLetter struct {
+		err  error
+		sent int // transmissions the link had seen when the callback ran
+	}
+	// record builds an endpoint whose link notes every data envelope's Seq
+	// and answers the i-th transmission with answer(i).
+	record := func(cfg Config, answer func(i int) error) (*Endpoint, func() []uint64, chan deadLetter) {
+		var mu sync.Mutex
+		var seqs []uint64
+		sent := func() []uint64 {
+			mu.Lock()
+			defer mu.Unlock()
+			return append([]uint64(nil), seqs...)
+		}
+		dead := make(chan deadLetter, 1)
+		e := New(cfg, 1,
+			func(m netsim.Message) error {
+				mu.Lock()
+				defer mu.Unlock()
+				seqs = append(seqs, m.Payload.(pendingEnv).env.(Envelope).Seq)
+				return answer(len(seqs) - 1)
+			},
+			func(ids.NodeID, string, any) {},
+			func(_ ids.NodeID, _ string, _ any, err error) { dead <- deadLetter{err, len(sent())} })
+		t.Cleanup(e.Close)
+		return e, sent, dead
+	}
+	await := func(dead chan deadLetter) deadLetter {
+		select {
+		case d := <-dead:
+			return d
+		case <-time.After(10 * time.Second):
+			t.Fatal("dead-letter callback never ran")
+			panic("unreachable")
+		}
+	}
+
+	// No retransmit can fire inside the test: what the link sees is first
+	// attempts only. Each is acked once checked, so the in-flight bound
+	// never holds the next one back.
+	e, sent, _ := record(Config{RetryBase: time.Hour}, func(int) error { return nil })
+	for n := uint64(1); n <= 1000; n++ {
+		if err := e.Send(2, "test", n); err != nil {
+			t.Fatal(err)
+		}
+		if got := sent(); uint64(len(got)) != n || got[n-1] != n {
+			t.Fatalf("after Send %d returned the link had seen %d transmissions, want seq 1..%d in order", n, len(got), n)
+		}
+		e.Handle(netsim.Message{From: 2, To: 1, Kind: KindAck, Payload: Ack{Seq: n, Cum: n}})
+	}
+
+	e, _, dead := record(Config{MaxAttempts: 2, RetryBase: time.Millisecond}, func(i int) error {
+		if i == 0 {
+			return transport.ErrBackpressure
+		}
+		return nil // accepted, never acked
+	})
+	if err := e.Send(2, "test", "congested"); err != nil {
+		t.Fatalf("a backpressured first attempt surfaced to the sender: %v", err)
+	}
+	if d := await(dead); !errors.Is(d.err, ErrUndeliverable) || d.sent != 2 {
+		t.Errorf("budget of 2 after a backpressured first attempt: dead-lettered %v after %d transmissions, want ErrUndeliverable after 2", d.err, d.sent)
+	}
+
+	structural := errors.New("no such node")
+	e, _, dead = record(Config{RetryBase: time.Millisecond}, func(int) error { return structural })
+	if err := e.Send(2, "test", "x"); err != nil {
+		t.Fatal(err)
+	}
+	if d := await(dead); !errors.Is(d.err, structural) || d.sent != 1 {
+		t.Errorf("structural first attempt: dead-lettered %v after %d transmissions, want the send error after 1", d.err, d.sent)
+	}
+}
+
+// TestInFlightBound: no more than maxInFlight sends toward one peer are ever
+// unacknowledged — the next Send waits until an ack retires one (here the
+// ack comes late, from a timer: it only delays the verdict) — and Close
+// releases a sender still waiting.
+func TestInFlightBound(t *testing.T) {
+	var e *Endpoint
+	var most atomic.Int64
+	e = New(Config{RetryBase: time.Hour}, 1,
+		func(netsim.Message) error {
+			if n := int64(pendingCount(e, 2)); n > most.Load() {
+				most.Store(n)
+			}
+			return nil // a black hole: nothing is acked unless the test does it
+		},
+		func(ids.NodeID, string, any) {}, nil)
+	defer e.Close()
+	for n := 0; n < maxInFlight; n++ {
+		if err := e.Send(2, "test", n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.AfterFunc(20*time.Millisecond, func() {
+		e.Handle(netsim.Message{From: 2, To: 1, Kind: KindAck, Payload: Ack{Seq: 1, Cum: 1}})
+	})
+	if err := e.Send(2, "test", "one more"); err != nil {
+		t.Fatal(err)
+	}
+	if got := most.Load(); got != maxInFlight {
+		t.Fatalf("%d sends were in flight at once, want the bound %d reached and kept", got, maxInFlight)
+	}
+	released := make(chan error, 1)
+	go func() { released <- e.Send(2, "test", "held until Close") }()
+	time.AfterFunc(20*time.Millisecond, e.Close)
+	select {
+	case <-released:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close left a sender waiting for room")
 	}
 }
 

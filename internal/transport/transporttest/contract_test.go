@@ -612,6 +612,46 @@ func TestBothLinksChargeTheCodec(t *testing.T) {
 	})
 }
 
+// Through a reliable endpoint one goroutine's sends reach the peer's handler
+// in the order it made them: the endpoint puts each first transmission on
+// the link before Send returns, and a lossless link keeps a pair's order
+// (coalescing on). No retransmit can fire, so arrivals are first attempts.
+func TestReliableSendsArriveInProgramOrder(t *testing.T) {
+	const n = 500
+	each(t, func(t *testing.T, b boot) {
+		var eps [3]atomic.Pointer[reliable.Endpoint]
+		c := b.new(t, options{Nodes: 2, Batch: true, Handler: func(node ids.NodeID) transport.Handler {
+			return func(m transport.Message) { eps[node].Load().Handle(m) }
+		}})
+		var mu sync.Mutex
+		var got []int
+		for node := ids.NodeID(1); node <= 2; node++ {
+			ep := reliable.New(reliable.Config{RetryBase: time.Hour}, node, c.Send, func(_ ids.NodeID, _ string, p any) {
+				mu.Lock()
+				got = append(got, p.(int))
+				mu.Unlock()
+			}, nil)
+			defer ep.Close()
+			eps[node].Store(ep)
+		}
+		for i := 0; i < n; i++ {
+			if err := eps[1].Load().Send(2, "test.seq", i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "every send to arrive", func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(got) == n
+		})
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("arrival %d is send %d: one goroutine's sends were reordered", i, v)
+			}
+		}
+	})
+}
+
 // net.msg.delivered counts handler invocations: N messages through a link
 // that coalesces them into fewer frames still read N.
 func TestDeliveredCountsRecordsNotFrames(t *testing.T) {
